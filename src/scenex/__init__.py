@@ -15,10 +15,8 @@ from .behavior import (
     ModelSpec,
     Trajectory,
     WorldView,
-    find_leader,
     idm_accel,
     load_roster,
-    perceive,
     plan_path_follow,
     plan_replay,
     profile_params,
@@ -33,7 +31,6 @@ from .map_model import (
     load_map,
     match_to_lane,
     path_intersection,
-    project_onto_path,
     route_centerline,
     save_map,
     select_route,

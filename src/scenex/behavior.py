@@ -13,16 +13,14 @@ from dataclasses import dataclass, replace
 import yaml
 
 from .errors import ModelError, SchemaError
-from .geometry import wrap_angle
 from .map_model import Path
-from .scene_io import ParticipantState
+from .scene_io import DT, ParticipantState
 
 MODEL_KINDS = ("standard", "risky", "constant_velocity", "emergency_brake", "replay")
 IDM_KINDS = ("standard", "risky")
 
 MIN_TRAJECTORY_STEPS = 30
 LEADER_CLEARANCE = 5.0
-PERCEPTION_RANGE = 50.0
 HARD_BRAKE_DECEL = 9.0
 EMERGENCY_BRAKE_DECEL = 5.0
 MIN_NET_GAP = 0.01
@@ -75,6 +73,14 @@ class ModelSpec:
             raise ModelError("model weight must be > 0")
         if self.kind == "emergency_brake" and self.brake_decel <= 0.0:
             raise ModelError("brake_decel must be > 0")
+        if self.route_selector != "straightest":
+            if isinstance(self.route_selector, bool) or not isinstance(
+                    self.route_selector, int):
+                raise ModelError(
+                    f"route_selector must be 'straightest' or an integer, "
+                    f"got {self.route_selector!r}")
+            if self.kind == "replay":
+                raise ModelError("route_selector does not apply to replay")
 
 
 @dataclass(frozen=True)
@@ -85,7 +91,6 @@ class WorldView:
     map_graph: object
     self_id: int
     horizon_steps: int = MIN_TRAJECTORY_STEPS
-    dt: float = 0.1
 
     @property
     def current(self):
@@ -99,31 +104,6 @@ class WorldView:
 
 
 @dataclass(frozen=True)
-class LocalParticipant:
-    track_id: int
-    x: float
-    y: float
-    yaw: float
-    vx: float
-    vy: float
-    length: float
-    width: float
-
-
-@dataclass(frozen=True)
-class LocalView:
-    self_id: int
-    others: tuple
-
-
-@dataclass(frozen=True)
-class Leader:
-    track_id: int
-    s_net: float
-    delta_v: float
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Planned future states for steps t+1 ... t+horizon."""
 
@@ -131,53 +111,31 @@ class Trajectory:
     owner: int
 
 
-def perceive(view: WorldView, perception_range=PERCEPTION_RANGE) -> LocalView:
-    """All other participants within range, in the self vehicle frame."""
-    me = view.self_state()
-    cos_y = math.cos(-me.yaw)
-    sin_y = math.sin(-me.yaw)
-    others = []
-    for s in view.current.states:
-        if s.track_id == view.self_id:
+def path_neighbours(path: Path, self_id, states):
+    """(station, state) of every other participant within LEADER_CLEARANCE
+    of `path`'s centerline."""
+    project = path.polyline.project
+    out = []
+    for other in states:
+        if other.track_id == self_id:
             continue
-        dx = s.x - me.x
-        dy = s.y - me.y
-        if math.hypot(dx, dy) > perception_range:
-            continue
-        others.append(LocalParticipant(
-            s.track_id,
-            cos_y * dx - sin_y * dy,
-            sin_y * dx + cos_y * dy,
-            wrap_angle(s.yaw - me.yaw),
-            cos_y * s.vx - sin_y * s.vy,
-            sin_y * s.vx + cos_y * s.vy,
-            s.length, s.width,
-        ))
-    return LocalView(view.self_id, tuple(others))
+        station, lateral, _ = project(other.x, other.y)
+        if abs(lateral) <= LEADER_CLEARANCE:
+            out.append((station, other))
+    return out
 
 
-def find_leader(view: WorldView, path: Path, clearance=LEADER_CLEARANCE):
-    """Nearest participant ahead on (or near) the path, or None.
+def leaders_ahead(me, own_station, neighbours):
+    """Yield (other, net gap) for each of `path_neighbours` ahead of
+    `own_station`, in the order given.
 
-    Candidates project within `clearance` laterally; the net gap subtracts
-    the mean of both vehicle lengths and is clamped to stay positive.
+    The net gap subtracts the mean of both vehicle lengths and is clamped to
+    stay positive.
     """
-    me = view.self_state()
-    own_station, _ = path.project(me.x, me.y)
-    best = None
-    for s in view.current.states:
-        if s.track_id == view.self_id:
-            continue
-        station, lateral = path.project(s.x, s.y)
-        if abs(lateral) > clearance or station <= own_station:
-            continue
-        if best is None or station < best[0]:
-            best = (station, s)
-    if best is None:
-        return None
-    station, other = best
-    s_net = max(station - own_station - 0.5 * (me.length + other.length), MIN_NET_GAP)
-    return Leader(other.track_id, s_net, me.speed - other.speed)
+    for station, other in neighbours:
+        if station > own_station:
+            yield other, max(station - own_station - 0.5 * (me.length + other.length),
+                             MIN_NET_GAP)
 
 
 def idm_accel(p: IdmParams, v, s_net=math.inf, delta_v=0.0) -> float:
@@ -195,18 +153,17 @@ def idm_accel(p: IdmParams, v, s_net=math.inf, delta_v=0.0) -> float:
     return min(max(a, -HARD_BRAKE_DECEL), p.a_max)
 
 
-def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path,
-                     clearance=LEADER_CLEARANCE) -> Trajectory:
+def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path) -> Trajectory:
     """Forward-integrate speed along a fixed path.
 
     Other participants are frozen at their current state for the whole
     planning horizon; reactivity comes from replanning. Past the path end
-    the vehicle continues along the last tangent.
+    the vehicle continues along the last tangent; a path without a
+    centerline is driven straight along the current yaw.
     """
     if spec.kind == "replay":
         raise ModelError("replay models plan via plan_replay")
     me = view.self_state()
-    dt = view.dt
     degenerate = path.polyline is None
     if degenerate:
         s = 0.0
@@ -215,17 +172,14 @@ def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path,
         s, _ = path.project(me.x, me.y)
     v = me.speed
 
-    leaders = []
+    neighbours = ()
     if spec.kind in IDM_KINDS:
         params = (spec.params or profile_params(spec.kind, v0=max(v, 1.0))).validated()
         if not degenerate:
-            for other in view.current.states:
-                if other.track_id == view.self_id:
-                    continue
-                station, lateral = path.project(other.x, other.y)
-                if abs(lateral) <= clearance:
-                    leaders.append((station, other.speed, other.length))
-            leaders.sort()
+            neighbours = path_neighbours(path, view.self_id, view.current.states)
+            # nearest first, so the first one ahead leads; equal stations
+            # put the slower, then the shorter vehicle first
+            neighbours.sort(key=lambda e: (e[0], e[1].speed, e[1].length))
 
     states = []
     for _ in range(view.horizon_steps):
@@ -234,18 +188,16 @@ def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path,
         elif spec.kind == "emergency_brake":
             a = -spec.brake_decel if v > 0.0 else 0.0
         else:
-            s_net = math.inf
-            dv = 0.0
-            for station, speed, length in leaders:
-                if station > s:
-                    s_net = max(station - s - 0.5 * (me.length + length), MIN_NET_GAP)
-                    dv = v - speed
-                    break
-            a = idm_accel(params, v, s_net, dv)
-        v1 = v + a * dt
+            lead = next(leaders_ahead(me, s, neighbours), None)
+            if lead is None:
+                a = idm_accel(params, v)
+            else:
+                other, s_net = lead
+                a = idm_accel(params, v, s_net, v - other.speed)
+        v1 = v + a * DT
         if v1 < 0.0:
             v1 = 0.0
-        s1 = s + 0.5 * (v + v1) * dt
+        s1 = s + 0.5 * (v + v1) * DT
         if degenerate:
             x = me.x + s1 * math.cos(yaw)
             y = me.y + s1 * math.sin(yaw)

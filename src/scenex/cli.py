@@ -18,7 +18,7 @@ import yaml
 from . import analysis, metrics, scene_io, simulator
 from .behavior import load_roster
 from .errors import ConfigError, ScenexError
-from .map_model import load_map, save_map
+from .map_model import DEFAULT_ROUTE_HORIZON, load_map, save_map
 
 RUN_FORMAT = "scenex-run"
 RUN_VERSION = 1
@@ -44,7 +44,7 @@ class RunConfig:
     pttc_decel: float = metrics.DEFAULT_PTTC_DECEL
     wttc_accel: float = metrics.DEFAULT_WTTC_ACCEL
     kde_bandwidth: float = analysis.DEFAULT_BANDWIDTH
-    route_horizon: float = 150.0
+    route_horizon: float = DEFAULT_ROUTE_HORIZON
     enumeration_cap: int = simulator.DEFAULT_ENUMERATION_CAP
 
     def sim_config(self) -> simulator.SimConfig:

@@ -51,28 +51,15 @@ class Route:
 class Path:
     """Arc-length-parametrized centerline derived from a route.
 
-    A zero-length path (entry station at the end of an exhausted route) has
-    `polyline` None and length 0.
+    A path without a centerline (no map, or an exhausted route) has
+    `polyline` None.
     """
 
-    __slots__ = ("polyline", "source_route", "exhausted")
+    __slots__ = ("polyline", "source_route")
 
-    def __init__(self, polyline, source_route=(), exhausted=False):
+    def __init__(self, polyline, source_route=()):
         self.polyline = polyline
         self.source_route = tuple(source_route)
-        self.exhausted = exhausted
-
-    @property
-    def length(self) -> float:
-        return 0.0 if self.polyline is None else self.polyline.length
-
-    @property
-    def points(self):
-        return [] if self.polyline is None else self.polyline.points
-
-    @property
-    def cumulative_station(self):
-        return [] if self.polyline is None else list(self.polyline.cum)
 
     def project(self, x, y):
         if self.polyline is None:
@@ -96,6 +83,7 @@ class MapGraph:
 
     def __init__(self, lanes):
         self._lanes = {}
+        self._paths = {}
         for lane in lanes:
             if lane.lane_id in self._lanes:
                 raise MapFormatError(f"duplicate lane id {lane.lane_id!r}")
@@ -125,6 +113,23 @@ class MapGraph:
 
     def __len__(self):
         return len(self._lanes)
+
+    def lane_path(self, lane_id, selector="straightest",
+                  horizon=DEFAULT_ROUTE_HORIZON) -> Path:
+        """Path of a lane: its routes from the lane start, one picked by
+        `selector` relative to the lane's start tangent, as one centerline.
+
+        Memoized per (lane, selector, horizon); the graph never changes.
+        """
+        key = (lane_id, selector, horizon)
+        path = self._paths.get(key)
+        if path is None:
+            start = self.lane(lane_id).polyline
+            routes = enumerate_routes(self, lane_id, 0.0, horizon=horizon)
+            pose = (start.xs[0], start.ys[0], start.tangent_at(0.0))
+            path = route_centerline(self, select_route(self, routes, pose, selector))
+            self._paths[key] = path
+        return path
 
 
 def _lane_from_record(rec, index):
@@ -274,12 +279,10 @@ def select_route(graph, routes, seed_pose, selector="straightest"):
     return annotated[index]
 
 
-def route_centerline(graph, route, entry_station=None, horizon=None) -> Path:
+def route_centerline(graph, route, entry_station=None) -> Path:
     """Concatenated lane centerlines from `entry_station` onward.
 
     Duplicate junction points are removed and stations are recomputed from 0.
-    The path is flagged exhausted when it is shorter than `horizon` (or
-    empty).
     """
     entry = route.entry_station if entry_station is None else entry_station
     pts = []
@@ -303,15 +306,8 @@ def route_centerline(graph, route, entry_station=None, horizon=None) -> Path:
                 push(x, y)
 
     if len(pts) < 2:
-        return Path(None, route.lane_ids, exhausted=True)
-    polyline = Polyline(pts)
-    exhausted = horizon is not None and polyline.length < horizon
-    return Path(polyline, route.lane_ids, exhausted=exhausted)
-
-
-def project_onto_path(path: Path, point):
-    """Station and signed lateral offset of the closest path point."""
-    return path.project(point[0], point[1])
+        return Path(None, route.lane_ids)
+    return Path(Polyline(pts), route.lane_ids)
 
 
 def path_intersection(a: Path, b: Path):
@@ -343,15 +339,26 @@ def path_intersection(a: Path, b: Path):
     return None
 
 
-def path_for_pose(graph, x, y, yaw, selector="straightest",
-                  horizon=DEFAULT_ROUTE_HORIZON, max_distance=DEFAULT_MATCH_DISTANCE,
-                  seed_pose=None):
-    """Match a pose, enumerate routes, select one, and build its centerline.
+def match_seed_lane(graph, state, selector):
+    """Lane on which an integer route `selector` applies: the lane matched at
+    the participant's seed-scene `state`. None for "straightest" or no map."""
+    if graph is None or selector == "straightest":
+        return None
+    return match_to_lane(graph, state.x, state.y, state.yaw)[0]
 
-    `seed_pose` defaults to the queried pose; pass the participant's
-    seed-scene pose to keep route choice fixed over a whole run.
+
+def path_for_pose(graph, x, y, yaw, selector="straightest",
+                  horizon=DEFAULT_ROUTE_HORIZON, seed_lane=None):
+    """Match a pose to a lane and return that lane's path (`lane_path`).
+
+    An integer `selector` applies only while the pose matches `seed_lane`
+    (see `match_seed_lane`; None applies it on any lane); past the seed lane
+    the straightest route is taken. Without a map the path has no centerline
+    and path followers drive straight along their yaw.
     """
-    lane_id, _, _ = match_to_lane(graph, x, y, yaw, max_distance=max_distance)
-    routes = enumerate_routes(graph, lane_id, 0.0, horizon=horizon)
-    route = select_route(graph, routes, seed_pose or (x, y, yaw), selector)
-    return route_centerline(graph, route, entry_station=0.0, horizon=horizon)
+    if graph is None:
+        return Path(None)
+    lane_id, _, _ = match_to_lane(graph, x, y, yaw)
+    if seed_lane is not None and lane_id != seed_lane:
+        selector = "straightest"
+    return graph.lane_path(lane_id, selector, horizon)

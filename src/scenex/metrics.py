@@ -10,8 +10,14 @@ import csv
 import math
 from dataclasses import dataclass
 
+from .behavior import leaders_ahead, path_neighbours
 from .errors import OffMapError, SchemaError
-from .map_model import match_to_lane, path_for_pose, path_intersection
+from .map_model import (
+    DEFAULT_ROUTE_HORIZON,
+    match_seed_lane,
+    path_for_pose,
+    path_intersection,
+)
 
 DEFAULT_METRICS = ("distance", "gap_time", "inv_ttc", "pttc", "wttc")
 # metrics whose scenario worst is the maximum; all others minimize
@@ -124,22 +130,19 @@ class MetricPlugin:
 class MetricEngine:
     """Computes pair contexts, per-frame extrema, and scenario fingerprints.
 
-    Paths for leader detection and conflict points are the straightest
-    continuation of each participant's matched lane, cached per lane;
+    Each participant is judged on the path the simulator gives it
+    (`path_for_pose` with its route selector, "straightest" without a log);
     off-map participants contribute to distance and WTTC only.
     """
 
-    def __init__(self, map_graph, clearance=5.0, pttc_decel=DEFAULT_PTTC_DECEL,
-                 wttc_accel=DEFAULT_WTTC_ACCEL, route_horizon=150.0,
-                 match_distance=10.0, plugins=None):
+    def __init__(self, map_graph, pttc_decel=DEFAULT_PTTC_DECEL,
+                 wttc_accel=DEFAULT_WTTC_ACCEL, route_horizon=DEFAULT_ROUTE_HORIZON,
+                 plugins=None):
         self.map_graph = map_graph
-        self.clearance = clearance
         self.pttc_decel = pttc_decel
         self.wttc_accel = wttc_accel
         self.route_horizon = route_horizon
-        self.match_distance = match_distance
         self.plugins = dict(plugins or {})
-        self._path_cache = {}
         self._isect_cache = {}
 
     @property
@@ -151,28 +154,17 @@ class MetricEngine:
             return self.plugins[metric].max_is_worst
         return metric in MAX_IS_WORST
 
-    def _participant_path(self, state):
-        """Path of the matched lane's straightest continuation, or None.
-
-        Route choice is canonicalized on the lane (start pose of the matched
-        lane) so the cache stays valid for every pose on it.
-        """
-        if self.map_graph is None:
-            return None
-        try:
-            lane_id, _, _ = match_to_lane(self.map_graph, state.x, state.y,
-                                          state.yaw, max_distance=self.match_distance)
-        except OffMapError:
-            return None
-        if lane_id in self._path_cache:
-            return self._path_cache[lane_id]
-        lane = self.map_graph.lane(lane_id)
-        pose = (lane.polyline.xs[0], lane.polyline.ys[0], lane.polyline.tangent_at(0.0))
-        path = path_for_pose(self.map_graph, pose[0], pose[1], pose[2],
-                             horizon=self.route_horizon,
-                             max_distance=self.match_distance, seed_pose=pose)
-        self._path_cache[lane_id] = path
-        return path
+    def _routes(self, log):
+        """track id -> (route selector, seed lane) for non-default selectors."""
+        routes = {}
+        if log.assignment is None:
+            return routes
+        for tid, spec in log.assignment.mapping.items():
+            lane = match_seed_lane(self.map_graph, log.seed.current.get(tid),
+                                   spec.route_selector)
+            if lane is not None:
+                routes[tid] = (spec.route_selector, lane)
+        return routes
 
     def _conflict(self, path_a, path_b):
         key = (path_a.source_route, path_b.source_route)
@@ -182,35 +174,47 @@ class MetricEngine:
         self._isect_cache[key] = hit
         return hit
 
-    def pair_contexts(self, frame):
-        """All ordered pair contexts of a frame."""
+    def pair_contexts(self, frame, routes=None):
+        """All ordered pair contexts of a frame.
+
+        `routes` maps a track id to its (route selector, seed lane); any other
+        participant is judged on its lane's straightest route.
+        """
+        routes = routes or {}
+        states = frame.states
         info = []
-        for state in frame.states:
-            path = self._participant_path(state)
+        for state in states:
+            selector, seed_lane = routes.get(state.track_id, ("straightest", None))
+            try:
+                path = path_for_pose(self.map_graph, state.x, state.y, state.yaw,
+                                     selector, self.route_horizon, seed_lane)
+            except OffMapError:
+                path = None
             station = None
+            gaps = {}
             if path is not None and path.polyline is not None:
                 station, _ = path.project(state.x, state.y)
-            info.append((state, path, station))
+                neighbours = path_neighbours(path, state.track_id, states)
+                gaps = {other.track_id: s_net for other, s_net
+                        in leaders_ahead(state, station, neighbours)}
+            info.append((state, path, station, gaps))
         contexts = []
-        for a, path_a, st_a in info:
-            for b, path_b, st_b in info:
+        for a, path_a, st_a, gaps in info:
+            for b, path_b, st_b, _ in info:
                 if a.track_id == b.track_id:
                     continue
-                s_net = delta_v = d_self = d_other = None
-                if path_a is not None and st_a is not None:
-                    station_b, lateral_b = path_a.project(b.x, b.y)
-                    if abs(lateral_b) <= self.clearance and station_b > st_a:
-                        s_net = max(station_b - st_a - 0.5 * (a.length + b.length),
-                                    0.01)
-                        delta_v = a.speed - b.speed
-                    if (path_b is not None and st_b is not None
-                            and path_a.source_route != path_b.source_route):
-                        hit = self._conflict(path_a, path_b)
-                        if hit is not None:
-                            _, sa, sb = hit
-                            if sa - st_a > 1e-9 and sb - st_b > 1e-9:
-                                d_self = sa - st_a
-                                d_other = sb - st_b
+                s_net = gaps.get(b.track_id)
+                delta_v = d_self = d_other = None
+                if s_net is not None:
+                    delta_v = a.speed - b.speed
+                if (st_a is not None and st_b is not None
+                        and path_a.source_route != path_b.source_route):
+                    hit = self._conflict(path_a, path_b)
+                    if hit is not None:
+                        _, sa, sb = hit
+                        if sa - st_a > 1e-9 and sb - st_b > 1e-9:
+                            d_self = sa - st_a
+                            d_other = sb - st_b
                 contexts.append(PairContext(a, b, s_net, delta_v, d_self, d_other))
         return contexts
 
@@ -251,9 +255,11 @@ class MetricEngine:
 
         Metrics with no defined frame are absent from the result.
         """
+        routes = self._routes(log)
         per_metric = {}
         for frame in log.frames:
-            for metric, value in self.frame_extrema(frame).items():
+            contexts = self.pair_contexts(frame, routes)
+            for metric, value in self.frame_extrema(frame, contexts).items():
                 per_metric.setdefault(metric, []).append(value)
         vector = {}
         for metric, values in per_metric.items():

@@ -25,6 +25,7 @@ TRACK_COLUMNS = [
     "x", "y", "vx", "vy", "psi_rad", "length", "width",
 ]
 FRAME_PERIOD_MS = 100
+DT = FRAME_PERIOD_MS / 1000
 DEFAULT_HISTORY_LEN = 10
 DEFAULT_VEHICLE_LENGTH = 4.5
 DEFAULT_VEHICLE_WIDTH = 1.8
@@ -49,8 +50,11 @@ class ParticipantState:
     def __post_init__(self):
         if self.length <= 0.0 or self.width <= 0.0:
             raise ValueError(f"track {self.track_id}: non-positive dimensions")
-        if not (math.isfinite(self.vx) and math.isfinite(self.vy)):
-            raise ValueError(f"track {self.track_id}: non-finite velocity")
+        if not (math.isfinite(self.x) and math.isfinite(self.y)
+                and math.isfinite(self.yaw)
+                and math.isfinite(self.vx) and math.isfinite(self.vy)):
+            raise ValueError(f"track {self.track_id}: non-finite position, yaw "
+                             "or velocity")
 
     @property
     def speed(self) -> float:
@@ -181,14 +185,14 @@ def load_tracks(path) -> TrackDataset:
                 x, y, vx, vy, yaw = (float(v) for v in (row[5], row[6], row[7], row[8], row[9]))
                 length = float(row[10]) if row[10] else DEFAULT_VEHICLE_LENGTH
                 width = float(row[11]) if row[11] else DEFAULT_VEHICLE_WIDTH
+                state = ParticipantState(track_id, _normalize_agent_type(raw_type),
+                                         x, y, yaw, vx, vy, length, width)
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from exc
             key = (case_id, track_id, frame_id)
             if key in seen:
                 raise SchemaError(f"{path}:{lineno}: duplicate (case, track, frame) {key}")
             seen.add(key)
-            state = ParticipantState(track_id, _normalize_agent_type(raw_type),
-                                     x, y, yaw, vx, vy, length, width)
             cases.setdefault(case_id, {}).setdefault(frame_id, (ts, []))[1].append(state)
 
     out = []
@@ -271,7 +275,7 @@ def _history_frames(specs, history_len):
         steps_back = history_len - 1 - k
         states = tuple(
             ParticipantState(tid, "car",
-                             x - vx * 0.1 * steps_back, y - vy * 0.1 * steps_back,
+                             x - vx * DT * steps_back, y - vy * DT * steps_back,
                              yaw, vx, vy, length, width)
             for tid, x, y, yaw, vx, vy, length, width in specs
         )

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 from .behavior import (
     IDM_KINDS,
+    MIN_TRAJECTORY_STEPS,
     ModelSpec,
     Trajectory,
     WorldView,
@@ -23,33 +24,30 @@ from .behavior import (
     profile_params,
 )
 from .errors import ChildRunError, EnumerationCapError, ScenexError
-from .map_model import match_to_lane, path_for_pose
+from .map_model import DEFAULT_ROUTE_HORIZON, match_seed_lane, path_for_pose
 from .scene_io import FRAME_PERIOD_MS, SceneFrame, ScenarioLog, SeedScene
 
 DEFAULT_N_RUNS = 385
 DEFAULT_ENUMERATION_CAP = 1_000_000
+# IDM target speed v0 when the spec leaves it unset: the initial speed, or
+# DEFAULT_V0 for a participant slower than MIN_INITIAL_V0
+DEFAULT_V0 = 10.0
+MIN_INITIAL_V0 = 0.5
 
 
 @dataclass(frozen=True)
 class SimConfig:
     horizon_steps: int = 30
     replan_interval: int = 5
-    dt: float = 0.1
     rng_seed: int = 0
     history_len: int = 10
-    route_horizon: float = 150.0
-    match_distance: float = 10.0
-    leader_clearance: float = 5.0
-    default_v0: float = 10.0
-    min_initial_v0: float = 0.5
+    route_horizon: float = DEFAULT_ROUTE_HORIZON
 
     def __post_init__(self):
         if self.horizon_steps < 1:
             raise ValueError("horizon_steps must be >= 1")
         if not 1 <= self.replan_interval <= self.horizon_steps:
             raise ValueError("replan_interval must be in 1..horizon_steps")
-        if self.dt != 0.1:
-            raise ValueError("the frame period is fixed at 0.1 s")
         if self.history_len < 1:
             raise ValueError("history_len must be >= 1")
 
@@ -120,13 +118,13 @@ def enumerate_assignments(seed: SeedScene, roster, cap=DEFAULT_ENUMERATION_CAP):
         yield Assignment(mapping, ("enumerated", index))
 
 
-def _resolve_spec(spec: ModelSpec, initial_speed, cfg: SimConfig) -> ModelSpec:
+def _resolve_spec(spec: ModelSpec, initial_speed) -> ModelSpec:
     """Fill profile defaults and the target speed v0 for IDM drivers."""
     if spec.kind not in IDM_KINDS:
         return spec
     params = spec.params or profile_params(spec.kind)
     if params.v0 is None:
-        v0 = initial_speed if initial_speed >= cfg.min_initial_v0 else cfg.default_v0
+        v0 = initial_speed if initial_speed >= MIN_INITIAL_V0 else DEFAULT_V0
         params = replace(params, v0=v0)
     return replace(spec, params=params.validated())
 
@@ -154,19 +152,15 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
 
     current = seed.current
     resolved = {
-        tid: _resolve_spec(assignment.mapping[tid], current.get(tid).speed, cfg)
-        for tid in ids
-    }
-    seed_pose = {
-        tid: (current.get(tid).x, current.get(tid).y, current.get(tid).yaw)
+        tid: _resolve_spec(assignment.mapping[tid], current.get(tid).speed)
         for tid in ids
     }
     rec_frames = tuple(recorded) if recorded is not None else seed.frames
     base_index = _recorded_base_index(rec_frames, seed)
 
-    plan_len = max(30, cfg.replan_interval)
+    plan_len = max(MIN_TRAJECTORY_STEPS, cfg.replan_interval)
     history = deque(seed.frames[-cfg.history_len:], maxlen=cfg.history_len)
-    path_cache = {}
+    seed_lanes = {}
     plans = {}
     plan_step = 0
     ts = current.timestamp_ms
@@ -177,33 +171,20 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
             frames = tuple(history)
             for tid in ids:
                 spec = resolved[tid]
-                view = WorldView(frames, seed.map_graph, tid, plan_len, cfg.dt)
+                view = WorldView(frames, seed.map_graph, tid, plan_len)
                 try:
                     if spec.kind == "replay":
                         traj = plan_replay(view, rec_frames, base_index + step)
                     else:
                         me = frames[-1].get(tid)
-                        key = None
-                        path = None
-                        if seed.map_graph is not None:
-                            lane_id, _, _ = match_to_lane(
-                                seed.map_graph, me.x, me.y, me.yaw,
-                                max_distance=cfg.match_distance,
-                            )
-                            key = (tid, lane_id)
-                            path = path_cache.get(key)
-                        if path is None:
-                            path = path_for_pose(
-                                seed.map_graph, me.x, me.y, me.yaw,
-                                selector=spec.route_selector,
-                                horizon=cfg.route_horizon,
-                                max_distance=cfg.match_distance,
-                                seed_pose=seed_pose[tid],
-                            )
-                            if key is not None:
-                                path_cache[key] = path
-                        traj = plan_path_follow(view, spec, path,
-                                                clearance=cfg.leader_clearance)
+                        if step == 0:
+                            seed_lanes[tid] = match_seed_lane(
+                                seed.map_graph, me, spec.route_selector)
+                        path = path_for_pose(
+                            seed.map_graph, me.x, me.y, me.yaw,
+                            spec.route_selector, cfg.route_horizon, seed_lanes[tid],
+                        )
+                        traj = plan_path_follow(view, spec, path)
                 except ScenexError as exc:
                     raise ChildRunError(tid, step, spec.kind, str(exc)) from exc
                 plans[tid] = traj

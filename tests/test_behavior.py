@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +7,10 @@ from scenex.behavior import (
     ModelSpec,
     Trajectory,
     WorldView,
-    find_leader,
     idm_accel,
+    leaders_ahead,
     load_roster,
-    perceive,
+    path_neighbours,
     plan_path_follow,
     plan_replay,
     profile_params,
@@ -36,54 +34,40 @@ def main_path(straight_map):
     return route_centerline(straight_map, Route(("main",)))
 
 
-class TestPerceive:
-    def test_rotated_frame(self):
-        # self faces north; a car 10 m to the north moving west appears
-        # dead ahead with purely leftward velocity
-        view = view_of([
-            state(1, 0.0, 0.0, math.pi / 2, 0.0, 8.0),
-            state(2, 0.0, 10.0, math.pi, -5.0, 0.0),
-        ], self_id=1)
-        local = perceive(view)
-        assert len(local.others) == 1
-        o = local.others[0]
-        assert (o.x, o.y) == pytest.approx((10.0, 0.0))
-        assert (o.vx, o.vy) == pytest.approx((0.0, 5.0))
-        assert o.yaw == pytest.approx(math.pi / 2)
-
-    def test_range_cutoff(self):
-        view = view_of([state(1, 0.0), state(2, 49.0), state(3, 51.0)], 1)
-        local = perceive(view)
-        assert [o.track_id for o in local.others] == [2]
-
-    def test_excludes_self(self):
-        view = view_of([state(1, 0.0)], 1)
-        assert perceive(view).others == ()
+def first_leader(view, path):
+    """(leader, net gap) of the view's own vehicle on `path`, or None."""
+    me = view.self_state()
+    own_station, _ = path.project(me.x, me.y)
+    neighbours = sorted(path_neighbours(path, view.self_id, view.current.states),
+                        key=lambda e: e[0])
+    return next(leaders_ahead(me, own_station, neighbours), None)
 
 
 class TestFindLeader:
+    """The leader rule shared by the planner and the metric engine."""
+
     def test_net_gap(self, main_path):
         view = view_of([state(1, 10.0, vx=10.0), state(2, 30.5, vx=6.0)], 1)
-        leader = find_leader(view, main_path)
+        leader, s_net = first_leader(view, main_path)
         assert leader.track_id == 2
-        assert leader.s_net == pytest.approx(16.0)
-        assert leader.delta_v == pytest.approx(4.0)
+        assert s_net == pytest.approx(16.0)
+        assert view.self_state().speed - leader.speed == pytest.approx(4.0)
 
     def test_lateral_clearance(self, main_path):
         view = view_of([state(1, 10.0, vx=10.0), state(2, 30.0, y=6.0)], 1)
-        assert find_leader(view, main_path) is None
+        assert first_leader(view, main_path) is None
 
     def test_nearest_of_two(self, main_path):
         view = view_of([state(1, 10.0), state(2, 50.0), state(3, 30.0)], 1)
-        assert find_leader(view, main_path).track_id == 3
+        assert first_leader(view, main_path)[0].track_id == 3
 
     def test_behind_ignored(self, main_path):
         view = view_of([state(1, 50.0), state(2, 10.0)], 1)
-        assert find_leader(view, main_path) is None
+        assert first_leader(view, main_path) is None
 
     def test_overlapping_gap_clamped(self, main_path):
         view = view_of([state(1, 10.0), state(2, 12.0)], 1)
-        assert find_leader(view, main_path).s_net == pytest.approx(0.01)
+        assert first_leader(view, main_path)[1] == pytest.approx(0.01)
 
 
 class TestIdmAccel:
@@ -266,6 +250,18 @@ class TestRoster:
         p.write_text(
             "format: scenex-roster\nversion: 1\nmodels:\n  - {kind: teleport}\n")
         with pytest.raises(SchemaError):
+            load_roster(p)
+
+    @pytest.mark.parametrize("entry", [
+        "{kind: standard, route_selector: left}",
+        "{kind: standard, route_selector: [1]}",
+        "{kind: replay, route_selector: 1}",
+    ])
+    def test_bad_route_selector_rejected(self, tmp_path, entry):
+        p = tmp_path / "roster.yaml"
+        p.write_text(
+            f"format: scenex-roster\nversion: 1\nmodels:\n  - {entry}\n")
+        with pytest.raises(SchemaError, match="route_selector"):
             load_roster(p)
 
 

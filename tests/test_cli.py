@@ -127,6 +127,30 @@ class TestValidation:
         cfg, _ = write_config(tmp_path, replan_interval="0")
         assert main(["simulate", "--config", str(cfg)]) == EXIT_VALIDATION
 
+    def test_non_finite_track_value(self, tmp_path, capsys):
+        scene = tmp_path / "scene"
+        assert main(["synth-scene", "--template", "car_following",
+                     "--out", str(scene)]) == EXIT_OK
+        tracks = scene / "tracks.csv"
+        lines = tracks.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[5] = "nan"
+        lines[1] = ",".join(fields)
+        tracks.write_text("\n".join(lines) + "\n")
+        (tmp_path / "roster.yaml").write_text(ROSTER)
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text("\n".join([
+            "format: scenex-run",
+            "version: 1",
+            f"roster: {tmp_path / 'roster.yaml'}",
+            f"output_dir: {tmp_path / 'out'}",
+            f"map: {scene / 'map.yaml'}",
+            f"tracks: {{path: {tracks}}}",
+        ]) + "\n")
+        rc = main(["simulate", "--config", str(cfg), "--jobs", "1"])
+        assert rc == EXIT_VALIDATION
+        assert "tracks.csv:2:" in capsys.readouterr().err
+
 
 class TestAnalyze:
     @pytest.fixture

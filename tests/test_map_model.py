@@ -9,7 +9,6 @@ from scenex.map_model import (
     match_to_lane,
     path_for_pose,
     path_intersection,
-    project_onto_path,
     route_centerline,
     save_map,
     select_route,
@@ -204,8 +203,8 @@ def test_select_route_is_pure(t_junction_map):
 def test_route_centerline_entry_station(straight_map):
     routes = enumerate_routes(straight_map, "main", 40.0, horizon=50.0)
     path = route_centerline(straight_map, routes[0])
-    assert path.length == pytest.approx(60.0)
-    assert path.cumulative_station[0] == 0.0
+    assert path.polyline.length == pytest.approx(60.0)
+    assert path.polyline.cum[0] == 0.0
 
 
 def test_route_centerline_concatenation_dedupes_junction():
@@ -217,26 +216,26 @@ def test_route_centerline_concatenation_dedupes_junction():
         lane("B", [(50, 0), (100, 0)]),
     ])
     path = route_centerline(graph, Route(("A", "B")))
-    assert path.length == pytest.approx(100.0)
-    assert path.points == [(0.0, 0.0), (50.0, 0.0), (100.0, 0.0)]
+    assert path.polyline.length == pytest.approx(100.0)
+    assert path.polyline.points == [(0.0, 0.0), (50.0, 0.0), (100.0, 0.0)]
 
 
 def test_route_centerline_exhausted_at_lane_end(straight_map):
     from scenex.map_model import Route
 
     path = route_centerline(straight_map, Route(("main",), entry_station=100.0))
-    assert path.length == 0.0
-    assert path.exhausted
+    assert path.polyline is None
+    assert path.source_route == ("main",)
 
 
 def test_project_onto_path_endpoints(straight_map):
     from scenex.map_model import Route
 
     path = route_centerline(straight_map, Route(("main",)))
-    assert project_onto_path(path, (0.0, 0.0)) == pytest.approx((0.0, 0.0))
-    station, lateral = project_onto_path(path, (50.0, -3.0))
+    assert path.project(0.0, 0.0) == pytest.approx((0.0, 0.0))
+    station, lateral = path.project(50.0, -3.0)
     assert (station, lateral) == pytest.approx((50.0, -3.0))
-    station, _ = project_onto_path(path, (150.0, 0.0))
+    station, _ = path.project(150.0, 0.0)
     assert station == pytest.approx(100.0)
 
 
@@ -244,8 +243,8 @@ def test_path_vertices_have_zero_lateral(t_junction_map):
     routes = enumerate_routes(t_junction_map, "A", 0.0, horizon=500.0)
     path = route_centerline(t_junction_map, select_route(
         t_junction_map, routes, (0, 0, 0.0), 1))
-    for x, y in path.points:
-        _, lateral = project_onto_path(path, (x, y))
+    for x, y in path.polyline.points:
+        _, lateral = path.project(x, y)
         assert abs(lateral) < 1e-9
 
 
@@ -297,4 +296,4 @@ def test_path_intersection_identical_overlap_none():
 def test_path_for_pose_end_to_end(t_junction_map):
     path = path_for_pose(t_junction_map, 10.0, 0.5, 0.0)
     assert path.source_route == ("A", "B")
-    assert path.length == pytest.approx(150.0)
+    assert path.polyline.length == pytest.approx(150.0)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from scenex.map_model import MapGraph, path_for_pose
 from scenex.metrics import (
     DEFAULT_METRICS,
     MAX_IS_WORST,
@@ -224,6 +225,25 @@ class TestEngine:
         assert ctx.crossing and not ctx.following
         assert ctx.d_self == pytest.approx(30.0)
         assert ctx.d_other == pytest.approx(40.0)
+
+    def test_judged_on_own_lane_at_a_junction_node(self):
+        from tests.conftest import lane
+
+        # the incoming lane is Z, so the sibling B has the lowest id of the
+        # three lanes that meet at (50, 0), where C starts
+        graph = MapGraph([
+            lane("Z", [(0.0, 0.0), (50.0, 0.0)], successors=("B", "C")),
+            lane("B", [(50.0, 0.0), (150.0, 0.0)]),
+            lane("C", [(50.0, 0.0), (60.0, 10.0), (60.0, 100.0)]),
+        ])
+        on_c = state(1, 53.54, 3.54, yaw=math.pi / 4, vx=5.0, vy=5.0)
+        ahead_on_c = state(2, 60.0, 30.0, yaw=math.pi / 2, vy=5.0)
+        assert path_for_pose(graph, on_c.x, on_c.y, on_c.yaw).source_route == ("C",)
+        engine = MetricEngine(graph)
+        contexts = {(c.a.track_id, c.b.track_id): c
+                    for c in engine.pair_contexts(SceneFrame(100, (on_c, ahead_on_c)))}
+        expected = math.hypot(10.0, 10.0) + 20.0 - math.hypot(3.54, 3.54) - 4.5
+        assert contexts[(1, 2)].s_net == pytest.approx(expected)
 
     def test_offmap_participant_keeps_geometric_metrics(self, following_scene):
         graph, _ = following_scene

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenex.errors import InsufficientHistoryError, SchemaError, SynthParamError
-from scenex.map_model import path_intersection
-from scenex.metrics import MetricEngine
+from scenex.map_model import path_for_pose, path_intersection
 from scenex.scene_io import (
     TRACK_COLUMNS,
     Case,
@@ -81,6 +80,17 @@ class TestLoadTracks:
         ]
         p.write_text(",".join(TRACK_COLUMNS) + "\n" + "\n".join(rows) + "\n")
         with pytest.raises(SchemaError, match="monotonic"):
+            load_tracks(p)
+
+    @pytest.mark.parametrize("column,value", [
+        ("x", "nan"), ("y", "inf"), ("psi_rad", "nan"), ("vx", "-inf"),
+    ])
+    def test_non_finite_value_names_the_line(self, tmp_path, column, value):
+        p = tmp_path / "tracks.csv"
+        fields = "1,1,1,100,car,0.0,0.0,1.0,0.0,0.0,4.5,1.8".split(",")
+        fields[TRACK_COLUMNS.index(column)] = value
+        p.write_text(",".join(TRACK_COLUMNS) + "\n" + ",".join(fields) + "\n")
+        with pytest.raises(SchemaError, match=r"tracks\.csv:2: .*non-finite"):
             load_tracks(p)
 
     def test_nonvehicle_rows_dropped_and_counted(self, tmp_path):
@@ -197,10 +207,9 @@ class TestSynthScene:
 
     def test_crossing_conflict_stations(self):
         graph, seed = synth_scene("crossing", {"distance_a": 30.0, "distance_b": 30.0})
-        engine = MetricEngine(graph)
         a, b = seed.current.states
-        path_a = engine._participant_path(a)
-        path_b = engine._participant_path(b)
+        path_a = path_for_pose(graph, a.x, a.y, a.yaw)
+        path_b = path_for_pose(graph, b.x, b.y, b.yaw)
         hit = path_intersection(path_a, path_b)
         assert hit is not None
         _, sa, sb = hit

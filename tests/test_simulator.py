@@ -5,7 +5,14 @@ import pytest
 from scenex import simulator
 from scenex.behavior import ModelSpec
 from scenex.errors import EnumerationCapError, ScenexError
-from scenex.scene_io import extract_seed, synth_scene
+from scenex.metrics import MetricEngine
+from scenex.scene_io import (
+    ParticipantState,
+    SceneFrame,
+    SeedScene,
+    extract_seed,
+    synth_scene,
+)
 from scenex.simulator import (
     SimConfig,
     assign_models,
@@ -23,20 +30,34 @@ def replay_case(n_tracks=2, n_frames=50):
     return make_case(n_tracks=n_tracks, n_frames=n_frames)
 
 
+def seed_of(map_graph, *vehicles, history_len=10):
+    """Seed scene of (track, x, y, yaw, speed) vehicles at constant velocity."""
+    frames = []
+    for k in range(history_len):
+        back = 0.1 * (history_len - 1 - k)
+        frames.append(SceneFrame(100 * (k + 1), tuple(
+            ParticipantState(tid, "car",
+                             x - v * math.cos(yaw) * back, y - v * math.sin(yaw) * back,
+                             yaw, v * math.cos(yaw), v * math.sin(yaw))
+            for tid, x, y, yaw, v in vehicles
+        )))
+    return SeedScene(map_graph, tuple(frames))
+
+
 class TestSimConfig:
     def test_defaults(self):
         cfg = SimConfig()
         assert cfg.horizon_steps == 30
         assert cfg.replan_interval == 5
-        assert cfg.dt == 0.1
+        assert cfg.route_horizon == 150.0
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SimConfig(replan_interval=0)
         with pytest.raises(ValueError):
             SimConfig(replan_interval=31)
-        with pytest.raises(ValueError):
-            SimConfig(dt=0.05)
+        with pytest.raises(TypeError):
+            SimConfig(dt=0.05)  # the frame period is fixed, not a setting
         with pytest.raises(ValueError):
             SimConfig(horizon_steps=0)
 
@@ -144,6 +165,32 @@ class TestRunChild:
         a = simulator.Assignment({tid: spec for tid in seed.track_ids}, ("sampled", 0))
         log = run_child(seed, a, recorded=case.frames)
         assert log.frames == case.frames[10:40]
+
+    def test_route_selector_applies_on_seed_lane_only(self, t_junction_map):
+        # vehicle 1 turns onto C (route index 1 on A); vehicle 2 drives on B
+        seed = seed_of(t_junction_map, (1, 30.0, 0.0, 0.0, 10.0),
+                       (2, 90.0, 0.0, 0.0, 10.0))
+        cv = ModelSpec("constant_velocity")
+        turn = simulator.Assignment(
+            {1: ModelSpec("constant_velocity", route_selector=1), 2: cv},
+            ("sampled", 0))
+        log = run_child(seed, turn)
+        assert log.frames[-1].get(1).y > 0.0
+        # judged on (A, C), vehicle 2 on B never leads vehicle 1
+        engine = MetricEngine(t_junction_map)
+        assert "inv_ttc" not in engine.aggregate(log)
+        straight = run_child(seed, simulator.Assignment({1: cv, 2: cv}, ("sampled", 0)))
+        assert straight.frames[-1].get(1).y == 0.0
+        assert "inv_ttc" in engine.aggregate(straight)
+
+    def test_mapless_seed_drives_along_yaw(self):
+        yaw = math.pi / 4
+        seed = seed_of(None, (1, 0.0, 0.0, yaw, 10.0))
+        batch = run_batch(seed, [ModelSpec("constant_velocity")], n_runs=1)
+        assert batch.n_failed == 0
+        end = batch.children[0].log.frames[-1].get(1)
+        assert (end.x, end.y) == pytest.approx((30.0 * math.cos(yaw),
+                                                30.0 * math.sin(yaw)))
 
     def test_replan_interval_changes_reactivity(self, following_scene):
         _, seed = following_scene
