@@ -26,7 +26,6 @@ from .map_model import (
     Lane,
     MapGraph,
     Path,
-    Route,
     enumerate_routes,
     load_map,
     match_to_lane,

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import ModelSpec
+from .errors import ScenexError
 from .metrics import MetricEngine
-from .simulator import Assignment, SimConfig, run_child
+from .simulator import Assignment, SimConfig, recorded_base_index, run_child
 
 DEFAULT_BANDWIDTH = 0.1
 DEFAULT_GRID_SIZE = 512
@@ -130,9 +131,11 @@ def ground_truth_overlay(seed_scene, recorded, cfg: SimConfig,
     metrics stay absent in the result.
     """
     recorded = tuple(recorded)
-    ts = seed_scene.current.timestamp_ms
-    base = next((i for i, fr in enumerate(recorded) if fr.timestamp_ms == ts), None)
-    if base is None or len(recorded) - 1 - base < cfg.horizon_steps:
+    try:
+        covered = len(recorded) - 1 - recorded_base_index(recorded, seed_scene)
+    except ScenexError:
+        covered = -1
+    if covered < cfg.horizon_steps:
         raise ValueError("recording does not cover the scenario horizon")
     assignment = Assignment(
         {tid: ModelSpec("replay") for tid in seed_scene.track_ids},

@@ -19,11 +19,14 @@ from .scene_io import DT, ParticipantState
 MODEL_KINDS = ("standard", "risky", "constant_velocity", "emergency_brake", "replay")
 IDM_KINDS = ("standard", "risky")
 
-MIN_TRAJECTORY_STEPS = 30
 LEADER_CLEARANCE = 5.0
 HARD_BRAKE_DECEL = 9.0
 EMERGENCY_BRAKE_DECEL = 5.0
 MIN_NET_GAP = 0.01
+# IDM target speed v0 when the spec leaves it unset: the initial speed, or
+# DEFAULT_V0 for a participant slower than MIN_INITIAL_V0
+DEFAULT_V0 = 10.0
+MIN_INITIAL_V0 = 0.5
 
 # Table-driven driver profiles; a_max and v0 are repo defaults, the rest is
 # the published parametrization of each profile.
@@ -88,9 +91,8 @@ class WorldView:
     """Read-only environment snapshot handed to every model."""
 
     frames: tuple
-    map_graph: object
     self_id: int
-    horizon_steps: int = MIN_TRAJECTORY_STEPS
+    horizon_steps: int
 
     @property
     def current(self):
@@ -108,7 +110,17 @@ class Trajectory:
     """Planned future states for steps t+1 ... t+horizon."""
 
     states: tuple
-    owner: int
+
+
+def resolve_spec(spec: ModelSpec, initial_speed) -> ModelSpec:
+    """Fill profile defaults and the target speed v0 for IDM drivers."""
+    if spec.kind not in IDM_KINDS:
+        return spec
+    params = spec.params or profile_params(spec.kind)
+    if params.v0 is None:
+        v0 = initial_speed if initial_speed >= MIN_INITIAL_V0 else DEFAULT_V0
+        params = replace(params, v0=v0)
+    return replace(spec, params=params.validated())
 
 
 def path_neighbours(path: Path, self_id, states):
@@ -159,7 +171,8 @@ def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path) -> Trajectory
     Other participants are frozen at their current state for the whole
     planning horizon; reactivity comes from replanning. Past the path end
     the vehicle continues along the last tangent; a path without a
-    centerline is driven straight along the current yaw.
+    centerline is driven straight along the current yaw. An IDM spec
+    without v0 is completed by `resolve_spec` at the current speed.
     """
     if spec.kind == "replay":
         raise ModelError("replay models plan via plan_replay")
@@ -174,7 +187,9 @@ def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path) -> Trajectory
 
     neighbours = ()
     if spec.kind in IDM_KINDS:
-        params = (spec.params or profile_params(spec.kind, v0=max(v, 1.0))).validated()
+        params = spec.params
+        if params is None or params.v0 is None:
+            params = resolve_spec(spec, v).params
         if not degenerate:
             neighbours = path_neighbours(path, view.self_id, view.current.states)
             # nearest first, so the first one ahead leads; equal stations
@@ -210,7 +225,7 @@ def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path) -> Trajectory
             v1 * math.cos(th), v1 * math.sin(th), me.length, me.width,
         ))
         v, s = v1, s1
-    return Trajectory(tuple(states), me.track_id)
+    return Trajectory(tuple(states))
 
 
 def plan_replay(view: WorldView, recorded, current_index) -> Trajectory:
@@ -235,7 +250,7 @@ def plan_replay(view: WorldView, recorded, current_index) -> Trajectory:
             if held is None:
                 held = replace(base, vx=0.0, vy=0.0)
             states.append(held)
-    return Trajectory(tuple(states), view.self_id)
+    return Trajectory(tuple(states))
 
 
 def _spec_from_record(rec, index):

@@ -143,7 +143,8 @@ def _write_outputs(cfg, batch, engine, seed, recorded, mode):
             scene_io.write_log(child.log, os.path.join(out, rel))
             entry["log"] = rel
         else:
-            entry["error"] = child.error
+            entry.update(error=child.error, track_id=child.track_id, step=child.step,
+                         model_kind=child.model_kind, error_class=child.error_class)
         children.append(entry)
     metrics.write_metric_table(os.path.join(out, "metrics.csv"),
                                _metric_rows(engine, batch),

@@ -18,7 +18,7 @@ class OffMapError(ScenexError):
 
 
 class RouteSelectionError(ScenexError):
-    """Route selector index out of range or routes empty."""
+    """A route selector index out of range, or no routes to select from."""
 
 
 class SchemaError(ScenexError):

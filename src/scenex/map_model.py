@@ -17,7 +17,7 @@ emits this format).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import yaml
 
@@ -39,20 +39,10 @@ class Lane:
     successors: tuple
 
 
-@dataclass(frozen=True)
-class Route:
-    """An ordered lane sequence; `exit_angle` is set by `select_route`."""
-
-    lane_ids: tuple
-    entry_station: float = 0.0
-    exit_angle: float | None = None
-
-
 class Path:
     """Arc-length-parametrized centerline derived from a route.
 
-    A path without a centerline (no map, or an exhausted route) has
-    `polyline` None.
+    A path without a centerline (no map) has `polyline` None.
     """
 
     __slots__ = ("polyline", "source_route")
@@ -124,10 +114,8 @@ class MapGraph:
         key = (lane_id, selector, horizon)
         path = self._paths.get(key)
         if path is None:
-            start = self.lane(lane_id).polyline
-            routes = enumerate_routes(self, lane_id, 0.0, horizon=horizon)
-            pose = (start.xs[0], start.ys[0], start.tangent_at(0.0))
-            path = route_centerline(self, select_route(self, routes, pose, selector))
+            routes = enumerate_routes(self, lane_id, horizon)
+            path = route_centerline(self, select_route(self, routes, selector))
             self._paths[key] = path
         return path
 
@@ -214,60 +202,56 @@ def match_to_lane(graph: MapGraph, x, y, yaw, max_distance=DEFAULT_MATCH_DISTANC
     return best[1], best[2], best[3]
 
 
-def enumerate_routes(graph, start, start_station=0.0, horizon=DEFAULT_ROUTE_HORIZON):
-    """Depth-limited forward traversal of the successor relation.
+def enumerate_routes(graph, start, horizon=DEFAULT_ROUTE_HORIZON):
+    """Lane-id tuples of the routes from the start of lane `start`.
 
-    Each route either reaches `horizon` meters measured from `start_station`
-    or ends at a lane with no unvisited successors (truncated). Lanes are
-    never revisited within one route, which bounds traversal through cycles.
-    Output is sorted lexicographically by lane id sequence.
+    Depth-limited forward traversal of the successor relation: each route
+    either reaches `horizon` meters or ends at a lane with no unvisited
+    successors (truncated). Lanes are never revisited within one route,
+    which bounds traversal through cycles. Output is sorted
+    lexicographically.
     """
-    start_lane = graph.lane(start)
     routes = []
 
     def dfs(lane, acc_len, seq):
-        first = len(seq) == 0
-        seq = seq + [lane.lane_id]
-        length = lane.polyline.length - (start_station if first else 0.0)
-        total = acc_len + max(length, 0.0)
+        seq = seq + (lane.lane_id,)
+        total = acc_len + lane.polyline.length
         nxt = [s for s in sorted(lane.successors) if s not in seq]
         if total >= horizon or not nxt:
-            routes.append(Route(tuple(seq), entry_station=start_station))
+            routes.append(seq)
             return
         for succ in nxt:
             dfs(graph.lane(succ), total, seq)
 
-    dfs(start_lane, 0.0, [])
-    routes.sort(key=lambda r: r.lane_ids)
+    dfs(graph.lane(start), 0.0, ())
+    routes.sort()
     return routes
 
 
-def select_route(graph, routes, seed_pose, selector="straightest"):
-    """Pick a route by the signed chord angle in the seed vehicle frame.
+def _exit_angle(graph, route, yaw):
+    first = graph.lane(route[0]).polyline
+    last = graph.lane(route[-1]).polyline
+    dx, dy = last.xs[-1] - first.xs[0], last.ys[-1] - first.ys[0]
+    if math.hypot(dx, dy) < 1e-9:
+        return 0.0
+    return wrap_angle(math.atan2(dy, dx) - yaw)
+
+
+def select_route(graph, routes, selector="straightest"):
+    """Pick a route by its signed chord angle at the first lane's start.
 
     Each route's exit angle is the bearing of (route end - route start)
-    expressed relative to the seed pose's yaw. Routes are sorted by signed
+    relative to the first lane's start tangent. Routes are sorted by signed
     angle ascending; an integer selector indexes that order, the default
     "straightest" picks the minimal |angle|. Ties break on the
     lexicographically smaller lane id sequence.
     """
     if not routes:
         raise RouteSelectionError("no routes to select from")
-    _, _, yaw = seed_pose
-    annotated = []
-    for route in routes:
-        first = graph.lane(route.lane_ids[0]).polyline
-        sx, sy = first.point_at(route.entry_station)
-        last = graph.lane(route.lane_ids[-1]).polyline
-        ex, ey = last.xs[-1], last.ys[-1]
-        if math.hypot(ex - sx, ey - sy) < 1e-9:
-            angle = 0.0
-        else:
-            angle = wrap_angle(math.atan2(ey - sy, ex - sx) - yaw)
-        annotated.append(replace(route, exit_angle=angle))
-    annotated.sort(key=lambda r: (r.exit_angle, r.lane_ids))
+    yaw = graph.lane(routes[0][0]).polyline.tangent_at(0.0)
+    annotated = sorted((_exit_angle(graph, r, yaw), r) for r in routes)
     if selector == "straightest":
-        return min(annotated, key=lambda r: (abs(r.exit_angle), r.lane_ids))
+        return min(annotated, key=lambda e: (abs(e[0]), e[1]))[1]
     try:
         index = int(selector)
     except (TypeError, ValueError):
@@ -276,38 +260,22 @@ def select_route(graph, routes, seed_pose, selector="straightest"):
         raise RouteSelectionError(
             f"route selector index {index} out of range (have {len(annotated)} routes)"
         )
-    return annotated[index]
+    return annotated[index][1]
 
 
-def route_centerline(graph, route, entry_station=None) -> Path:
-    """Concatenated lane centerlines from `entry_station` onward.
+def route_centerline(graph, route) -> Path:
+    """Concatenated lane centerlines of a lane-id tuple.
 
     Duplicate junction points are removed and stations are recomputed from 0.
     """
-    entry = route.entry_station if entry_station is None else entry_station
     pts = []
-
-    def push(x, y):
-        if pts and math.hypot(x - pts[-1][0], y - pts[-1][1]) < 1e-9:
-            return
-        pts.append((x, y))
-
-    for k, lane_id in enumerate(route.lane_ids):
+    for lane_id in route:
         pl = graph.lane(lane_id).polyline
-        if k == 0 and entry > 0.0:
-            if entry >= pl.length - 1e-12:
+        for x, y in zip(pl.xs, pl.ys):
+            if pts and math.hypot(x - pts[-1][0], y - pts[-1][1]) < 1e-9:
                 continue
-            push(*pl.point_at(entry))
-            for i, s in enumerate(pl.cum):
-                if s > entry + 1e-12:
-                    push(pl.xs[i], pl.ys[i])
-        else:
-            for x, y in zip(pl.xs, pl.ys):
-                push(x, y)
-
-    if len(pts) < 2:
-        return Path(None, route.lane_ids)
-    return Path(Polyline(pts), route.lane_ids)
+            pts.append((x, y))
+    return Path(Polyline(pts), route)
 
 
 def path_intersection(a: Path, b: Path):

@@ -11,28 +11,15 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .behavior import (
-    IDM_KINDS,
-    MIN_TRAJECTORY_STEPS,
-    ModelSpec,
-    Trajectory,
-    WorldView,
-    plan_path_follow,
-    plan_replay,
-    profile_params,
-)
+from .behavior import WorldView, plan_path_follow, plan_replay, resolve_spec
 from .errors import ChildRunError, EnumerationCapError, ScenexError
 from .map_model import DEFAULT_ROUTE_HORIZON, match_seed_lane, path_for_pose
 from .scene_io import FRAME_PERIOD_MS, SceneFrame, ScenarioLog, SeedScene
 
 DEFAULT_N_RUNS = 385
 DEFAULT_ENUMERATION_CAP = 1_000_000
-# IDM target speed v0 when the spec leaves it unset: the initial speed, or
-# DEFAULT_V0 for a participant slower than MIN_INITIAL_V0
-DEFAULT_V0 = 10.0
-MIN_INITIAL_V0 = 0.5
 
 
 @dataclass(frozen=True)
@@ -118,18 +105,8 @@ def enumerate_assignments(seed: SeedScene, roster, cap=DEFAULT_ENUMERATION_CAP):
         yield Assignment(mapping, ("enumerated", index))
 
 
-def _resolve_spec(spec: ModelSpec, initial_speed) -> ModelSpec:
-    """Fill profile defaults and the target speed v0 for IDM drivers."""
-    if spec.kind not in IDM_KINDS:
-        return spec
-    params = spec.params or profile_params(spec.kind)
-    if params.v0 is None:
-        v0 = initial_speed if initial_speed >= MIN_INITIAL_V0 else DEFAULT_V0
-        params = replace(params, v0=v0)
-    return replace(spec, params=params.validated())
-
-
-def _recorded_base_index(recorded, seed: SeedScene) -> int:
+def recorded_base_index(recorded, seed: SeedScene) -> int:
+    """Index of the seed's current frame in the recorded frames."""
     ts = seed.current.timestamp_ms
     for i, fr in enumerate(recorded):
         if fr.timestamp_ms == ts:
@@ -143,7 +120,8 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
 
     Replay models follow `recorded` (the full case frames); without a
     recording they hold their seed state. All models plan from the same
-    frozen history window; plans are cached for `replan_interval` steps.
+    frozen history window, each for the `replan_interval` steps used before
+    the next replan.
     """
     ids = seed.track_ids
     missing = [tid for tid in ids if tid not in assignment.mapping]
@@ -152,13 +130,12 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
 
     current = seed.current
     resolved = {
-        tid: _resolve_spec(assignment.mapping[tid], current.get(tid).speed)
+        tid: resolve_spec(assignment.mapping[tid], current.get(tid).speed)
         for tid in ids
     }
     rec_frames = tuple(recorded) if recorded is not None else seed.frames
-    base_index = _recorded_base_index(rec_frames, seed)
+    base_index = recorded_base_index(rec_frames, seed)
 
-    plan_len = max(MIN_TRAJECTORY_STEPS, cfg.replan_interval)
     history = deque(seed.frames[-cfg.history_len:], maxlen=cfg.history_len)
     seed_lanes = {}
     plans = {}
@@ -171,7 +148,7 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
             frames = tuple(history)
             for tid in ids:
                 spec = resolved[tid]
-                view = WorldView(frames, seed.map_graph, tid, plan_len)
+                view = WorldView(frames, tid, cfg.replan_interval)
                 try:
                     if spec.kind == "replay":
                         traj = plan_replay(view, rec_frames, base_index + step)
@@ -185,7 +162,7 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
                             spec.route_selector, cfg.route_horizon, seed_lanes[tid],
                         )
                         traj = plan_path_follow(view, spec, path)
-                except ScenexError as exc:
+                except Exception as exc:
                     raise ChildRunError(tid, step, spec.kind, str(exc)) from exc
                 plans[tid] = traj
             plan_step = step
@@ -200,10 +177,18 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
 
 @dataclass(frozen=True)
 class ChildResult:
+    """One child's log, or why it failed: the message, the failing track,
+    step and model kind (None when the failure is not one participant's),
+    and the class name of the original exception."""
+
     index: int
     assignment: Assignment
     log: ScenarioLog | None
     error: str | None = None
+    track_id: int | None = None
+    step: int | None = None
+    model_kind: str | None = None
+    error_class: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -240,8 +225,14 @@ def _run_one(seed, assignment, cfg, recorded, index) -> ChildResult:
     try:
         log = run_child(seed, assignment, cfg, recorded=recorded)
         return ChildResult(index, assignment, log)
-    except ScenexError as exc:
-        return ChildResult(index, assignment, None, error=str(exc))
+    except Exception as exc:  # a failing child never ends the batch
+        cause = (exc.__cause__ if isinstance(exc, ChildRunError) else None) or exc
+        return ChildResult(
+            index, assignment, None, error=str(exc),
+            track_id=getattr(exc, "track_id", None), step=getattr(exc, "step", None),
+            model_kind=getattr(exc, "model_kind", None),
+            error_class=type(cause).__name__,
+        )
 
 
 def _worker(args):

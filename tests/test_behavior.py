@@ -16,7 +16,8 @@ from scenex.behavior import (
     profile_params,
 )
 from scenex.errors import ModelError, SchemaError
-from scenex.map_model import Route, route_centerline
+from scenex.geometry import Polyline
+from scenex.map_model import Path, route_centerline
 from scenex.scene_io import ParticipantState, SceneFrame
 
 
@@ -24,14 +25,14 @@ def state(tid, x, y=0.0, yaw=0.0, vx=0.0, vy=0.0, length=4.5, width=1.8):
     return ParticipantState(tid, "car", x, y, yaw, vx, vy, length, width)
 
 
-def view_of(states, self_id, map_graph=None, horizon_steps=30):
+def view_of(states, self_id, horizon_steps=30):
     frame = SceneFrame(1000, tuple(states))
-    return WorldView((frame,), map_graph, self_id, horizon_steps=horizon_steps)
+    return WorldView((frame,), self_id, horizon_steps)
 
 
 @pytest.fixture
 def main_path(straight_map):
-    return route_centerline(straight_map, Route(("main",)))
+    return route_centerline(straight_map, ("main",))
 
 
 def first_leader(view, path):
@@ -187,6 +188,46 @@ class TestPlanPathFollow:
             plan_path_follow(view, ModelSpec("replay"), main_path)
 
 
+class TestPlanPrefix:
+    """A k-step plan is the first k states of the 30-step plan: planning is
+    causal, so the simulator plans only the steps it uses before the next
+    replan."""
+
+    PATH = Path(Polyline([(0.0, 0.0), (60.0, 0.0), (120.0, 30.0)]))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(("standard", "risky", "constant_velocity",
+                              "emergency_brake")),
+        v_me=st.floats(0.0, 30.0),
+        v_other=st.floats(0.0, 30.0),
+        gap=st.floats(0.0, 80.0),
+        k=st.integers(1, 30),
+    )
+    def test_path_follow(self, kind, v_me, v_other, gap, k):
+        states = [state(1, 10.0, vx=v_me), state(2, 10.0 + gap, vx=v_other)]
+        spec = ModelSpec(kind)
+        full = plan_path_follow(view_of(states, 1, 30), spec, self.PATH)
+        short = plan_path_follow(view_of(states, 1, k), spec, self.PATH)
+        assert short.states == full.states[:k]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        speed=st.floats(0.0, 30.0),
+        n_frames=st.integers(1, 50),
+        current=st.integers(0, 49),
+        k=st.integers(1, 30),
+    )
+    def test_replay(self, speed, n_frames, current, k):
+        current = min(current, n_frames - 1)
+        rec = [SceneFrame(100 * (i + 1), (state(1, speed * 0.1 * i, vx=speed),))
+               for i in range(n_frames)]
+        me = [rec[current].states[0]]
+        full = plan_replay(view_of(me, 1, 30), rec, current)
+        short = plan_replay(view_of(me, 1, k), rec, current)
+        assert short.states == full.states[:k]
+
+
 class TestPlanReplay:
     def make_recording(self, n=40):
         return [SceneFrame(100 * (i + 1), (state(1, float(i), vx=10.0),))
@@ -269,6 +310,5 @@ def test_trajectory_is_plain_data(main_path):
     view = view_of([state(1, 0.0, vx=5.0)], 1)
     traj = plan_path_follow(view, ModelSpec("constant_velocity"), main_path)
     assert isinstance(traj, Trajectory)
-    assert traj.owner == 1
     again = plan_path_follow(view, ModelSpec("constant_velocity"), main_path)
     assert traj == again  # planning is pure

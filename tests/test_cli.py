@@ -109,6 +109,47 @@ class TestEnumerate:
         assert len(combos) == 4
 
 
+class TestChildFailures:
+    def test_any_exception_fails_only_its_child(self, tmp_path):
+        # v0 = 1e-300 makes (v / v0) ** delta overflow in the IDM law
+        roster = ("format: scenex-roster\nversion: 1\nmodels:\n"
+                  "  - {kind: standard, params: {v0: 1.0e-300}}\n"
+                  "  - {kind: constant_velocity}\n")
+        cfg, out = write_config(tmp_path, roster=roster)
+        out2 = tmp_path / "out2"
+        assert main(["enumerate", "--config", str(cfg), "--jobs", "1"]) == EXIT_OK
+        assert main(["enumerate", "--config", str(cfg), "--jobs", "2",
+                     "--output-dir", str(out2)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["n_children"] == 4
+        assert manifest["n_failed"] == 3
+        _, rows = read_metric_table(out / "metrics.csv")
+        assert len(rows) == 1
+        for child in manifest["children"]:
+            if child["status"] == "ok":
+                assert set(child["assignment"].values()) == {"constant_velocity"}
+                continue
+            assert child["model_kind"] == "standard"
+            assert child["error_class"] == "OverflowError"
+            assert child["step"] == 0
+            assert child["assignment"][str(child["track_id"])] == "standard"
+            assert f"track {child['track_id']} failed at step 0" in child["error"]
+        second = json.loads((out2 / "manifest.json").read_text())
+        second["config"]["output_dir"] = manifest["config"]["output_dir"]
+        assert second == manifest
+        a, b = read_bytes_tree(out), read_bytes_tree(out2)
+        del a["manifest.json"], b["manifest.json"]
+        assert a == b
+        # the surviving child's log is the one it has in a failure-free run
+        (tmp_path / "cv").mkdir()
+        cfg_cv, out_cv = write_config(tmp_path / "cv", roster=(
+            "format: scenex-roster\nversion: 1\nmodels:\n"
+            "  - {kind: constant_velocity}\n"))
+        assert main(["enumerate", "--config", str(cfg_cv), "--jobs", "1"]) == EXIT_OK
+        assert (read_bytes_tree(out_cv)[os.path.join("logs", "child_00000.csv")]
+                == a[os.path.join("logs", "child_00003.csv")])
+
+
 class TestValidation:
     def test_both_sources_rejected(self, tmp_path):
         cfg, _ = write_config(tmp_path, tracks="{path: tracks.csv}",

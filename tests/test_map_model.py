@@ -106,18 +106,18 @@ def test_match_rejects_opposing_heading(straight_map):
 
 
 def test_enumerate_single_lane_truncated(straight_map):
-    routes = enumerate_routes(straight_map, "main", 0.0, horizon=200.0)
+    routes = enumerate_routes(straight_map, "main", horizon=200.0)
     assert len(routes) == 1
-    assert routes[0].lane_ids == ("main",)
+    assert routes[0] == ("main",)
 
 
 def test_enumerate_one_branch(t_junction_map):
-    routes = enumerate_routes(t_junction_map, "A", 0.0, horizon=500.0)
-    assert [r.lane_ids for r in routes] == [("A", "B"), ("A", "C")]
+    routes = enumerate_routes(t_junction_map, "A", horizon=500.0)
+    assert routes == [("A", "B"), ("A", "C")]
 
 
 def test_enumerate_two_binary_branches(double_branch_map):
-    routes = enumerate_routes(double_branch_map, "A", 0.0, horizon=1000.0)
+    routes = enumerate_routes(double_branch_map, "A", horizon=1000.0)
     # oracle: brute-force leaf expansion of the successor tree
     def expand(lane_id):
         succ = double_branch_map.lane(lane_id).successors
@@ -125,7 +125,7 @@ def test_enumerate_two_binary_branches(double_branch_map):
             return [(lane_id,)]
         return [(lane_id,) + tail for s in sorted(succ) for tail in expand(s)]
 
-    assert [r.lane_ids for r in routes] == sorted(expand("A"))
+    assert routes == sorted(expand("A"))
     assert len(routes) == 4
 
 
@@ -134,14 +134,14 @@ def test_enumerate_storage_order_invariance(double_branch_map):
 
     lanes = list(double_branch_map.lanes.values())
     shuffled = MapGraph(list(reversed(lanes)))
-    a = [r.lane_ids for r in enumerate_routes(double_branch_map, "A", 0.0, 1000.0)]
-    b = [r.lane_ids for r in enumerate_routes(shuffled, "A", 0.0, 1000.0)]
+    a = enumerate_routes(double_branch_map, "A", 1000.0)
+    b = enumerate_routes(shuffled, "A", 1000.0)
     assert a == b
 
 
 def test_enumerate_horizon_stops_expansion(t_junction_map):
-    routes = enumerate_routes(t_junction_map, "A", 0.0, horizon=10.0)
-    assert [r.lane_ids for r in routes] == [("A",)]
+    routes = enumerate_routes(t_junction_map, "A", horizon=10.0)
+    assert routes == [("A",)]
 
 
 def test_enumerate_forbids_revisit():
@@ -152,31 +152,46 @@ def test_enumerate_forbids_revisit():
         lane("A", [(0, 0), (10, 0)], successors=("B",)),
         lane("B", [(10, 0), (10, 10), (0, 10), (0, 0)], successors=("A",)),
     ])
-    routes = enumerate_routes(cyclic, "A", 0.0, horizon=10_000.0)
-    assert [r.lane_ids for r in routes] == [("A", "B")]
+    routes = enumerate_routes(cyclic, "A", horizon=10_000.0)
+    assert routes == [("A", "B")]
 
 
 def test_select_route_straightest(t_junction_map):
-    routes = enumerate_routes(t_junction_map, "A", 0.0, horizon=500.0)
-    chosen = select_route(t_junction_map, routes, (0.0, 0.0, 0.0), "straightest")
-    assert chosen.lane_ids == ("A", "B")
-    assert abs(chosen.exit_angle) < math.radians(5)
+    routes = enumerate_routes(t_junction_map, "A", horizon=500.0)
+    chosen = select_route(t_junction_map, routes, "straightest")
+    assert chosen == ("A", "B")
+
+
+def test_select_route_measures_from_lane_start_tangent():
+    from tests.conftest import lane
+    from scenex.map_model import MapGraph
+
+    # A runs north; B goes on north, C turns right (east)
+    graph = MapGraph([
+        lane("A", [(0, 0), (0, 50)], successors=("B", "C")),
+        lane("B", [(0, 50), (0, 150)]),
+        lane("C", [(0, 50), (100, 50)]),
+    ])
+    routes = enumerate_routes(graph, "A", horizon=500.0)
+    assert select_route(graph, routes, "straightest") == ("A", "B")
+    assert select_route(graph, routes, 0) == ("A", "C")
+    assert select_route(graph, routes, 1) == ("A", "B")
 
 
 def test_select_route_by_sorted_index(t_junction_map):
-    routes = enumerate_routes(t_junction_map, "A", 0.0, horizon=500.0)
+    routes = enumerate_routes(t_junction_map, "A", horizon=500.0)
     # index 0 is the most negative (rightmost) signed angle; B is straight
     # east, C bends north (positive angle), so index 0 is B here
-    chosen = select_route(t_junction_map, routes, (0.0, 0.0, 0.0), 0)
-    assert chosen.lane_ids == ("A", "B")
-    chosen = select_route(t_junction_map, routes, (0.0, 0.0, 0.0), 1)
-    assert chosen.lane_ids == ("A", "C")
+    chosen = select_route(t_junction_map, routes, 0)
+    assert chosen == ("A", "B")
+    chosen = select_route(t_junction_map, routes, 1)
+    assert chosen == ("A", "C")
 
 
 def test_select_route_index_out_of_range(t_junction_map):
-    routes = enumerate_routes(t_junction_map, "A", 0.0, horizon=500.0)
+    routes = enumerate_routes(t_junction_map, "A", horizon=500.0)
     with pytest.raises(RouteSelectionError):
-        select_route(t_junction_map, routes, (0.0, 0.0, 0.0), 7)
+        select_route(t_junction_map, routes, 7)
 
 
 def test_select_route_tie_break_lexicographic():
@@ -188,50 +203,33 @@ def test_select_route_tie_break_lexicographic():
         lane("X", [(10, 0), (50, 0)]),
         lane("Y", [(10, 0), (30, 5), (50, 0)]),
     ])
-    routes = enumerate_routes(graph, "A", 0.0, horizon=500.0)
-    chosen = select_route(graph, routes, (0.0, 0.0, 0.0), "straightest")
-    assert chosen.lane_ids == ("A", "X")
+    routes = enumerate_routes(graph, "A", horizon=500.0)
+    chosen = select_route(graph, routes, "straightest")
+    assert chosen == ("A", "X")
 
 
 def test_select_route_is_pure(t_junction_map):
-    routes = enumerate_routes(t_junction_map, "A", 0.0, horizon=500.0)
-    first = select_route(t_junction_map, routes, (1.0, 2.0, 0.1), "straightest")
-    second = select_route(t_junction_map, routes, (1.0, 2.0, 0.1), "straightest")
+    routes = enumerate_routes(t_junction_map, "A", horizon=500.0)
+    first = select_route(t_junction_map, routes, "straightest")
+    second = select_route(t_junction_map, routes, "straightest")
     assert first == second
-
-
-def test_route_centerline_entry_station(straight_map):
-    routes = enumerate_routes(straight_map, "main", 40.0, horizon=50.0)
-    path = route_centerline(straight_map, routes[0])
-    assert path.polyline.length == pytest.approx(60.0)
-    assert path.polyline.cum[0] == 0.0
 
 
 def test_route_centerline_concatenation_dedupes_junction():
     from tests.conftest import lane
-    from scenex.map_model import MapGraph, Route
+    from scenex.map_model import MapGraph
 
     graph = MapGraph([
         lane("A", [(0, 0), (50, 0)], successors=("B",)),
         lane("B", [(50, 0), (100, 0)]),
     ])
-    path = route_centerline(graph, Route(("A", "B")))
+    path = route_centerline(graph, ("A", "B"))
     assert path.polyline.length == pytest.approx(100.0)
     assert path.polyline.points == [(0.0, 0.0), (50.0, 0.0), (100.0, 0.0)]
 
 
-def test_route_centerline_exhausted_at_lane_end(straight_map):
-    from scenex.map_model import Route
-
-    path = route_centerline(straight_map, Route(("main",), entry_station=100.0))
-    assert path.polyline is None
-    assert path.source_route == ("main",)
-
-
 def test_project_onto_path_endpoints(straight_map):
-    from scenex.map_model import Route
-
-    path = route_centerline(straight_map, Route(("main",)))
+    path = route_centerline(straight_map, ("main",))
     assert path.project(0.0, 0.0) == pytest.approx((0.0, 0.0))
     station, lateral = path.project(50.0, -3.0)
     assert (station, lateral) == pytest.approx((50.0, -3.0))
@@ -240,9 +238,8 @@ def test_project_onto_path_endpoints(straight_map):
 
 
 def test_path_vertices_have_zero_lateral(t_junction_map):
-    routes = enumerate_routes(t_junction_map, "A", 0.0, horizon=500.0)
-    path = route_centerline(t_junction_map, select_route(
-        t_junction_map, routes, (0, 0, 0.0), 1))
+    routes = enumerate_routes(t_junction_map, "A", horizon=500.0)
+    path = route_centerline(t_junction_map, select_route(t_junction_map, routes, 1))
     for x, y in path.polyline.points:
         _, lateral = path.project(x, y)
         assert abs(lateral) < 1e-9

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from scenex import simulator
-from scenex.behavior import ModelSpec
+from scenex.behavior import ModelSpec, WorldView, plan_path_follow
 from scenex.errors import EnumerationCapError, ScenexError
 from scenex.metrics import MetricEngine
 from scenex.scene_io import (
@@ -191,6 +191,18 @@ class TestRunChild:
         end = batch.children[0].log.frames[-1].get(1)
         assert (end.x, end.y) == pytest.approx((30.0 * math.cos(yaw),
                                                 30.0 * math.sin(yaw)))
+
+    def test_default_v0_same_planned_or_simulated(self, straight_map):
+        # a standard driver at 0.3 m/s gets the default target speed 10 m/s
+        # from the same rule whether it is planned directly or simulated
+        seed = seed_of(straight_map, (1, 20.0, 0.0, 0.0, 0.3))
+        spec = ModelSpec("standard")
+        log = run_child(seed, simulator.Assignment({1: spec}, ("sampled", 0)))
+        simulated = log.frames[-1].get(1).speed
+        direct = plan_path_follow(WorldView(seed.frames, 1, 30), spec,
+                                  straight_map.lane_path("main"))
+        assert simulated == pytest.approx(6.13, abs=0.005)
+        assert direct.states[-1].speed == pytest.approx(simulated, rel=1e-9)
 
     def test_replan_interval_changes_reactivity(self, following_scene):
         _, seed = following_scene
