@@ -36,8 +36,15 @@ IDM_PROFILES = {
 }
 
 
+def _require_positive(name, value):
+    if not (math.isfinite(value) and value > 0.0):
+        raise ModelError(f"{name} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class IdmParams:
+    """IDM parameters; v0 None leaves the target speed to `resolve_spec`."""
+
     a_max: float
     b: float
     T: float
@@ -45,12 +52,11 @@ class IdmParams:
     delta: float
     v0: float | None = None
 
-    def validated(self) -> "IdmParams":
+    def __post_init__(self):
         for name in ("a_max", "b", "T", "s0", "delta", "v0"):
-            v = getattr(self, name)
-            if v is None or v <= 0.0:
-                raise ModelError(f"IDM parameter {name} must be > 0, got {v!r}")
-        return self
+            value = getattr(self, name)
+            if value is not None:
+                _require_positive(f"IDM parameter {name}", value)
 
 
 def profile_params(kind, v0=None, **overrides) -> IdmParams:
@@ -72,10 +78,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ModelError(f"unknown model kind {self.kind!r}")
-        if self.weight <= 0.0:
-            raise ModelError("model weight must be > 0")
-        if self.kind == "emergency_brake" and self.brake_decel <= 0.0:
-            raise ModelError("brake_decel must be > 0")
+        _require_positive("model weight", self.weight)
+        _require_positive("brake_decel", self.brake_decel)
         if self.route_selector != "straightest":
             if isinstance(self.route_selector, bool) or not isinstance(
                     self.route_selector, int):
@@ -120,7 +124,7 @@ def resolve_spec(spec: ModelSpec, initial_speed) -> ModelSpec:
     if params.v0 is None:
         v0 = initial_speed if initial_speed >= MIN_INITIAL_V0 else DEFAULT_V0
         params = replace(params, v0=v0)
-    return replace(spec, params=params.validated())
+    return replace(spec, params=params)
 
 
 def path_neighbours(path: Path, self_id, states):
@@ -262,14 +266,17 @@ def _spec_from_record(rec, index):
     if raw is not None:
         if kind not in IDM_KINDS:
             raise SchemaError(f"models[{index}]: params only apply to IDM kinds")
-        base = dict(IDM_PROFILES.get(kind, IDM_PROFILES["standard"]))
+        if not isinstance(raw, dict):
+            raise SchemaError(f"models[{index}]: params must be a mapping")
         unknown = set(raw) - {"a_max", "b", "T", "s0", "delta", "v0"}
         if unknown:
             raise SchemaError(f"models[{index}]: unknown param(s) {sorted(unknown)}")
-        v0 = raw.get("v0")
-        base.update({k: float(v) for k, v in raw.items() if k != "v0"})
-        params = IdmParams(v0=float(v0) if v0 is not None else None, **base)
     try:
+        if raw is not None:
+            base = dict(IDM_PROFILES.get(kind, IDM_PROFILES["standard"]))
+            v0 = raw.get("v0")
+            base.update({k: float(v) for k, v in raw.items() if k != "v0"})
+            params = IdmParams(v0=float(v0) if v0 is not None else None, **base)
         return ModelSpec(
             kind=kind,
             params=params,
@@ -277,7 +284,7 @@ def _spec_from_record(rec, index):
             brake_decel=float(rec.get("brake_decel", EMERGENCY_BRAKE_DECEL)),
             weight=float(rec.get("weight", 1.0)),
         )
-    except ModelError as exc:
+    except (ModelError, TypeError, ValueError) as exc:
         raise SchemaError(f"models[{index}]: {exc}") from exc
 
 

@@ -315,6 +315,12 @@ def _parse_sizes(text):
         raise argparse.ArgumentTypeError("sizes must be comma-separated integers")
 
 
+def _available_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scenex",
@@ -327,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
                         ("enumerate", "run all possible model assignments")):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="run configuration YAML")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="worker processes (results are identical for any value)")
+        p.add_argument("--jobs", type=int, default=_available_cpus(),
+                       help="worker processes, >= 1 (results are identical for "
+                            "any value; default: the CPUs this process may use)")
         p.add_argument("--n-runs", type=int, default=None)
         p.add_argument("--rng-seed", type=int, default=None)
         p.add_argument("--output-dir", default=None)

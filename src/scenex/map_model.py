@@ -68,6 +68,10 @@ class Path:
         return self.polyline.tangent_at(station)
 
 
+# the one path of every pose on a seed without a map
+_NO_MAP_PATH = Path(None)
+
+
 class MapGraph:
     """Immutable lane graph; all queries are read-only."""
 
@@ -322,10 +326,11 @@ def path_for_pose(graph, x, y, yaw, selector="straightest",
     An integer `selector` applies only while the pose matches `seed_lane`
     (see `match_seed_lane`; None applies it on any lane); past the seed lane
     the straightest route is taken. Without a map the path has no centerline
-    and path followers drive straight along their yaw.
+    and path followers drive straight along their yaw. One lane and selector
+    always give the same `Path` object.
     """
     if graph is None:
-        return Path(None)
+        return _NO_MAP_PATH
     lane_id, _, _ = match_to_lane(graph, x, y, yaw)
     if seed_lane is not None and lane_id != seed_lane:
         selector = "straightest"

@@ -132,7 +132,9 @@ class MetricEngine:
 
     Each participant is judged on the path the simulator gives it
     (`path_for_pose` with its route selector, "straightest" without a log);
-    off-map participants contribute to distance and WTTC only.
+    off-map participants contribute to distance and WTTC only. Fingerprints
+    are stored per distinct log, so plugins must be pure functions of their
+    frame and contexts.
     """
 
     def __init__(self, map_graph, pttc_decel=DEFAULT_PTTC_DECEL,
@@ -144,6 +146,7 @@ class MetricEngine:
         self.route_horizon = route_horizon
         self.plugins = dict(plugins or {})
         self._isect_cache = {}
+        self._fingerprints = {}
 
     @property
     def metric_names(self):
@@ -253,9 +256,18 @@ class MetricEngine:
     def aggregate(self, log):
         """Per-scenario fingerprint: worst and mean-of-extrema per metric.
 
-        Metrics with no defined frame are absent from the result.
+        Metrics with no defined frame are absent from the result. A log whose
+        exact frames (`ScenarioLog.digest`) and routes were aggregated before
+        gets the stored fingerprint.
         """
         routes = self._routes(log)
+        key = (log.digest, tuple(sorted(routes.items())))
+        vector = self._fingerprints.get(key)
+        if vector is None:
+            vector = self._fingerprints[key] = self._fingerprint(log, routes)
+        return dict(vector)
+
+    def _fingerprint(self, log, routes):
         per_metric = {}
         for frame in log.frames:
             contexts = self.pair_contexts(frame, routes)

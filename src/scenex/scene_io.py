@@ -10,9 +10,12 @@ The frame period is fixed at 100 ms (10 Hz).
 from __future__ import annotations
 
 import csv
+import hashlib
 import logging
 import math
+import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InsufficientHistoryError, SchemaError, SynthParamError
 from .geometry import Polyline
@@ -33,6 +36,7 @@ DEFAULT_VEHICLE_WIDTH = 1.8
 # agent types that carry no behavior model and are dropped on load
 _DROPPED_AGENT_TYPES = {"pedestrian", "bicycle", "pedestrian/bicycle"}
 _KNOWN_VEHICLE_TYPES = {"car", "truck"}
+_STATE_FLOATS = struct.Struct("<7d")
 
 
 @dataclass(frozen=True)
@@ -84,6 +88,19 @@ class SceneFrame:
         return None
 
 
+def states_key(frame) -> bytes:
+    """The exact content of a frame's states, in track order: every field,
+    floats bit for bit, so 0.0 and -0.0 give different keys. The timestamp
+    is left out."""
+    pack = _STATE_FLOATS.pack
+    parts = []
+    for s in frame.states:
+        kind = s.agent_type.encode()
+        parts.append(b"%d %d %s" % (s.track_id, len(kind), kind))
+        parts.append(pack(s.x, s.y, s.yaw, s.vx, s.vy, s.length, s.width))
+    return b"".join(parts)
+
+
 @dataclass(frozen=True)
 class SeedScene:
     """Map reference plus a short history window; last frame is current."""
@@ -121,6 +138,15 @@ class ScenarioLog:
     assignment: object
     frames: tuple
     run_seed: int
+
+    @cached_property
+    def digest(self) -> bytes:
+        """sha256 of the frames' exact content (timestamps and `states_key`)."""
+        h = hashlib.sha256()
+        for frame in self.frames:
+            h.update(b"%d:" % frame.timestamp_ms)
+            h.update(states_key(frame))
+        return h.digest()
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .behavior import WorldView, plan_path_follow, plan_replay, resolve_spec
 from .errors import ChildRunError, EnumerationCapError, ScenexError
 from .map_model import DEFAULT_ROUTE_HORIZON, match_seed_lane, path_for_pose
-from .scene_io import FRAME_PERIOD_MS, SceneFrame, ScenarioLog, SeedScene
+from .scene_io import FRAME_PERIOD_MS, SceneFrame, ScenarioLog, SeedScene, states_key
 
 DEFAULT_N_RUNS = 385
 DEFAULT_ENUMERATION_CAP = 1_000_000
@@ -115,13 +115,17 @@ def recorded_base_index(recorded, seed: SeedScene) -> int:
 
 
 def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfig(),
-              recorded=None) -> ScenarioLog:
+              recorded=None, plan_memo=None) -> ScenarioLog:
     """Simulate one child-scenario under a fixed model assignment.
 
     Replay models follow `recorded` (the full case frames); without a
     recording they hold their seed state. All models plan from the same
     frozen history window, each for the `replan_interval` steps used before
     the next replan.
+
+    `plan_memo` is a dict shared by the children of one batch: a path
+    follower's plan is computed once per distinct (track, resolved spec,
+    exact current states, path, steps), since the planner reads nothing else.
     """
     ids = seed.track_ids
     missing = [tid for tid in ids if tid not in assignment.mapping]
@@ -136,6 +140,8 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
     rec_frames = tuple(recorded) if recorded is not None else seed.frames
     base_index = recorded_base_index(rec_frames, seed)
 
+    if plan_memo is None:
+        plan_memo = {}
     history = deque(seed.frames[-cfg.history_len:], maxlen=cfg.history_len)
     seed_lanes = {}
     plans = {}
@@ -146,6 +152,7 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
     for step in range(cfg.horizon_steps):
         if step % cfg.replan_interval == 0:
             frames = tuple(history)
+            now = states_key(frames[-1])
             for tid in ids:
                 spec = resolved[tid]
                 view = WorldView(frames, tid, cfg.replan_interval)
@@ -161,7 +168,10 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
                             seed.map_graph, me.x, me.y, me.yaw,
                             spec.route_selector, cfg.route_horizon, seed_lanes[tid],
                         )
-                        traj = plan_path_follow(view, spec, path)
+                        key = (tid, spec, now, path, cfg.replan_interval)
+                        traj = plan_memo.get(key)
+                        if traj is None:
+                            traj = plan_memo[key] = plan_path_follow(view, spec, path)
                 except Exception as exc:
                     raise ChildRunError(tid, step, spec.kind, str(exc)) from exc
                 plans[tid] = traj
@@ -219,11 +229,12 @@ def _init_worker(seed, cfg, recorded):
     _WORKER_CTX["seed"] = seed
     _WORKER_CTX["cfg"] = cfg
     _WORKER_CTX["recorded"] = recorded
+    _WORKER_CTX["plan_memo"] = {}
 
 
-def _run_one(seed, assignment, cfg, recorded, index) -> ChildResult:
+def _run_one(seed, assignment, cfg, recorded, index, plan_memo) -> ChildResult:
     try:
-        log = run_child(seed, assignment, cfg, recorded=recorded)
+        log = run_child(seed, assignment, cfg, recorded=recorded, plan_memo=plan_memo)
         return ChildResult(index, assignment, log)
     except Exception as exc:  # a failing child never ends the batch
         cause = (exc.__cause__ if isinstance(exc, ChildRunError) else None) or exc
@@ -238,18 +249,21 @@ def _run_one(seed, assignment, cfg, recorded, index) -> ChildResult:
 def _worker(args):
     index, assignment = args
     return _run_one(_WORKER_CTX["seed"], assignment, _WORKER_CTX["cfg"],
-                    _WORKER_CTX["recorded"], index)
+                    _WORKER_CTX["recorded"], index, _WORKER_CTX["plan_memo"])
 
 
 def _execute(seed, cfg, recorded, tasks, jobs) -> BatchResult:
-    if jobs and jobs > 1:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if jobs > 1:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker,
             initargs=(seed, cfg, recorded),
         ) as pool:
             results = list(pool.map(_worker, tasks, chunksize=64))
     else:
-        results = [_run_one(seed, a, cfg, recorded, i) for i, a in tasks]
+        plan_memo = {}
+        results = [_run_one(seed, a, cfg, recorded, i, plan_memo) for i, a in tasks]
     results.sort(key=lambda c: c.index)
     return BatchResult(tuple(results))
 

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,10 +104,13 @@ class TestIdmAccel:
         assert a == pytest.approx(expected)
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ModelError):
-            IdmParams(a_max=2.0, b=3.0, T=3.1, s0=9.0, delta=4.0, v0=None).validated()
-        with pytest.raises(ModelError):
-            IdmParams(a_max=-1.0, b=3.0, T=3.1, s0=9.0, delta=4.0, v0=10.0).validated()
+        for bad in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ModelError, match="a_max"):
+                IdmParams(a_max=bad, b=3.0, T=3.1, s0=9.0, delta=4.0, v0=10.0)
+            with pytest.raises(ModelError, match="v0"):
+                IdmParams(a_max=2.0, b=3.0, T=3.1, s0=9.0, delta=4.0, v0=bad)
+        # an unset target speed is filled by resolve_spec
+        assert IdmParams(a_max=2.0, b=3.0, T=3.1, s0=9.0, delta=4.0).v0 is None
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -304,6 +309,33 @@ class TestRoster:
             f"format: scenex-roster\nversion: 1\nmodels:\n  - {entry}\n")
         with pytest.raises(SchemaError, match="route_selector"):
             load_roster(p)
+
+
+    @pytest.mark.parametrize("entry", [
+        "{kind: standard, params: {T: -1.0}}",
+        "{kind: standard, params: {s0: 0}}",
+        "{kind: risky, params: {a_max: .nan}}",
+        "{kind: risky, params: {v0: .inf}}",
+        "{kind: standard, params: {T: fast}}",
+        "{kind: standard, params: 3}",
+        "{kind: constant_velocity, weight: .nan}",
+        "{kind: constant_velocity, weight: .inf}",
+        "{kind: emergency_brake, brake_decel: .nan}",
+        "{kind: emergency_brake, brake_decel: -2.0}",
+    ])
+    def test_bad_number_rejected_at_load(self, tmp_path, entry):
+        p = tmp_path / "roster.yaml"
+        p.write_text("format: scenex-roster\nversion: 1\nmodels:\n"
+                     f"  - {{kind: replay}}\n  - {entry}\n")
+        with pytest.raises(SchemaError, match=r"models\[1\]"):
+            load_roster(p)
+
+    def test_v0_may_be_absent(self, tmp_path):
+        p = tmp_path / "roster.yaml"
+        p.write_text("format: scenex-roster\nversion: 1\nmodels:\n"
+                     "  - {kind: standard, params: {T: 2.0}}\n")
+        (spec,) = load_roster(p)
+        assert spec.params.T == 2.0 and spec.params.v0 is None
 
 
 def test_trajectory_is_plain_data(main_path):

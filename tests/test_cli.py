@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from scenex.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from scenex.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from scenex.map_model import load_map
 from scenex.metrics import read_metric_table
 from scenex.scene_io import load_tracks
@@ -167,6 +167,32 @@ class TestValidation:
     def test_bad_replan_interval(self, tmp_path):
         cfg, _ = write_config(tmp_path, replan_interval="0")
         assert main(["simulate", "--config", str(cfg)]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("entry", [
+        "{kind: standard, params: {T: -1.0}}",
+        "{kind: constant_velocity, weight: .nan}",
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "enumerate"])
+    def test_bad_roster_number_fails_before_any_child(self, tmp_path, capsys,
+                                                      entry, command):
+        roster = ("format: scenex-roster\nversion: 1\nmodels:\n"
+                  f"  - {{kind: constant_velocity}}\n  - {entry}\n")
+        cfg, out = write_config(tmp_path, roster=roster)
+        assert main([command, "--config", str(cfg), "--jobs", "1"]) == EXIT_VALIDATION
+        assert "models[1]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        cfg, out = write_config(tmp_path)
+        rc = main(["simulate", "--config", str(cfg), "--jobs", jobs])
+        assert rc == EXIT_VALIDATION
+        assert "jobs must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jobs_default_is_the_usable_cpus(self):
+        args = build_parser().parse_args(["enumerate", "--config", "run.yaml"])
+        assert args.jobs == len(os.sched_getaffinity(0))
 
     def test_non_finite_track_value(self, tmp_path, capsys):
         scene = tmp_path / "scene"

@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scenex.behavior import ModelSpec
 from scenex.map_model import MapGraph, path_for_pose
 from scenex.metrics import (
     DEFAULT_METRICS,
@@ -20,7 +23,15 @@ from scenex.metrics import (
     read_metric_table,
     write_metric_table,
 )
-from scenex.scene_io import ParticipantState, SceneFrame, ScenarioLog, synth_scene
+from scenex.scene_io import (
+    ParticipantState,
+    SceneFrame,
+    ScenarioLog,
+    states_key,
+    synth_scene,
+    write_log,
+)
+from scenex.simulator import run_enumerated
 
 
 def state(tid, x, y=0.0, yaw=0.0, vx=0.0, vy=0.0, length=4.5, width=1.8):
@@ -323,6 +334,112 @@ class TestEngine:
                 assert vector[m].worst == worst
                 assert vector[m].mean_of_extrema == sum(vals) / len(vals)
                 assert vector[m].defined_frames == len(vals)
+
+
+def exact(vector):
+    """A fingerprint with its floats as bits, so -0.0 differs from 0.0."""
+    return {m: (v.worst.hex(), v.mean_of_extrema.hex(), v.defined_frames)
+            for m, v in vector.items()}
+
+
+@pytest.fixture
+def pair_context_calls(monkeypatch):
+    calls = []
+    original = MetricEngine.pair_contexts
+
+    def counting(self, frame, routes=None):
+        calls.append(frame)
+        return original(self, frame, routes)
+
+    monkeypatch.setattr(MetricEngine, "pair_contexts", counting)
+    return calls
+
+
+MEMO_ROSTER = (
+    ModelSpec("standard"), ModelSpec("risky"), ModelSpec("constant_velocity"),
+    ModelSpec("emergency_brake"), ModelSpec("replay"),
+    ModelSpec("risky", route_selector=0),
+)
+
+
+class TestFingerprintMemo:
+    def test_repeated_log_is_aggregated_once(self, following_scene,
+                                             pair_context_calls):
+        graph, seed = following_scene
+        engine = MetricEngine(graph)
+        first = engine.aggregate(ScenarioLog(seed, None, seed.frames, 0))
+        first.clear()  # a caller's copy; the stored fingerprint is untouched
+        again = engine.aggregate(ScenarioLog(seed, None, seed.frames, 7))
+        assert len(pair_context_calls) == len(seed.frames)
+        assert exact(again) == exact(MetricEngine(graph).aggregate(
+            ScenarioLog(seed, None, seed.frames, 0)))
+
+    def test_signed_zero_logs_get_their_own_fingerprints(
+            self, following_scene, pair_context_calls, tmp_path):
+        graph, seed = following_scene
+
+        def log_with(vy):
+            frames = tuple(SceneFrame(100 * (k + 11), (
+                state(1, 20.0 + k, vx=10.0), state(2, 40.0, vx=0.0, vy=vy),
+            )) for k in range(30))
+            return ScenarioLog(seed, None, frames, 0)
+
+        plus, minus = log_with(0.0), log_with(-0.0)
+        assert plus.frames == minus.frames  # equal as numbers only
+        assert states_key(plus.frames[0]) != states_key(minus.frames[0])
+        assert plus.digest != minus.digest
+        write_log(plus, tmp_path / "plus.csv")
+        write_log(minus, tmp_path / "minus.csv")
+        assert (tmp_path / "plus.csv").read_bytes() != (
+            tmp_path / "minus.csv").read_bytes()
+        engine = MetricEngine(graph)
+        vectors = [engine.aggregate(plus), engine.aggregate(minus)]
+        assert len(pair_context_calls) == 2 * 30
+        for log, vector in zip((plus, minus), vectors):
+            assert exact(vector) == exact(MetricEngine(graph).aggregate(log))
+
+    def test_same_frames_on_other_routes_are_scored_again(self, t_junction_map):
+        from scenex.simulator import Assignment
+        from tests.test_simulator import seed_of
+
+        # vehicle 2 is ahead of vehicle 1 only on the route that turns onto C
+        seed = seed_of(t_junction_map, (1, 30.0, 0.0, 0.0, 10.0),
+                       (2, 60.0, 30.0, math.pi / 2, 5.0))
+        cv = ModelSpec("constant_velocity")
+        engine = MetricEngine(t_junction_map)
+        seen = []
+        for selector in (1, "straightest", 1):
+            assignment = Assignment(
+                {1: ModelSpec("constant_velocity", route_selector=selector), 2: cv},
+                ("sampled", 0))
+            log = ScenarioLog(seed, assignment, seed.frames, 0)
+            vector = engine.aggregate(log)
+            assert exact(vector) == exact(MetricEngine(t_junction_map).aggregate(log))
+            seen.append("inv_ttc" in vector)
+        assert seen == [True, False, True]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        scene=st.one_of(
+            st.builds(lambda n, gap, speed: ("car_following", {
+                "n_vehicles": n, "gap": gap, "speed": speed}),
+                st.integers(2, 3), st.floats(6.0, 40.0), st.floats(0.0, 15.0)),
+            st.builds(lambda d_a, d_b, v_a, v_b: ("crossing", {
+                "distance_a": d_a, "distance_b": d_b, "speed_a": v_a,
+                "speed_b": v_b}),
+                st.floats(5.0, 40.0), st.floats(5.0, 40.0),
+                st.floats(0.0, 15.0), st.floats(0.0, 15.0)),
+        ),
+        picks=st.lists(st.sampled_from(range(len(MEMO_ROSTER))),
+                       min_size=1, max_size=3, unique=True),
+    )
+    def test_one_engine_equals_fresh_engines(self, scene, picks):
+        graph, seed = synth_scene(*scene)
+        batch = run_enumerated(seed, [MEMO_ROSTER[i] for i in picks])
+        engine = MetricEngine(graph)
+        for child in batch.children:
+            assert exact(engine.aggregate(child.log)) == exact(
+                MetricEngine(graph).aggregate(child.log))
 
 
 class TestPlugin:

@@ -3,8 +3,9 @@ import math
 import pytest
 
 from scenex import simulator
-from scenex.behavior import ModelSpec, WorldView, plan_path_follow
-from scenex.errors import EnumerationCapError, ScenexError
+from scenex.behavior import ModelSpec, WorldView, plan_path_follow, profile_params
+from scenex.errors import ChildRunError, EnumerationCapError, ScenexError
+from scenex.map_model import MapGraph
 from scenex.metrics import MetricEngine
 from scenex.scene_io import (
     ParticipantState,
@@ -12,6 +13,7 @@ from scenex.scene_io import (
     SeedScene,
     extract_seed,
     synth_scene,
+    write_log,
 )
 from scenex.simulator import (
     SimConfig,
@@ -283,3 +285,135 @@ class TestBatches:
         # the rear vehicle's outcome depends only on its own model here
         assert finals[("constant_velocity", "constant_velocity")] == pytest.approx(90.0)
         assert finals[("emergency_brake", "constant_velocity")] == pytest.approx(70.0)
+
+
+def assert_children_run_alone(batch, seed, cfg=SimConfig(), recorded=None):
+    """Every child of `batch` equals its assignment run by itself, bit for bit,
+    or fails the same way."""
+    for child in batch.children:
+        try:
+            alone = run_child(seed, child.assignment, cfg, recorded=recorded)
+        except ChildRunError as exc:
+            assert not child.ok
+            assert (child.error, child.track_id, child.step, child.model_kind,
+                    child.error_class) == (str(exc), exc.track_id, exc.step,
+                                           exc.model_kind,
+                                           type(exc.__cause__).__name__)
+            continue
+        assert child.ok
+        assert child.log.digest == alone.digest
+        assert child.log.frames == alone.frames
+
+
+@pytest.fixture
+def planner_calls(monkeypatch):
+    calls = []
+    original = simulator.plan_path_follow
+
+    def counting(view, spec, path):
+        calls.append(view.self_id)
+        return original(view, spec, path)
+
+    monkeypatch.setattr(simulator, "plan_path_follow", counting)
+    return calls
+
+
+def bend_map():
+    from tests.conftest import lane
+
+    return MapGraph([lane("main", [(0.0, 0.0), (40.0, 0.0), (80.0, 30.0)])])
+
+
+class TestPlanMemo:
+    def test_fork_map_with_integer_selectors(self, t_junction_map, planner_calls):
+        seed = seed_of(t_junction_map, (1, 5.0, 0.0, 0.0, 8.0),
+                       (2, 20.0, 0.0, 0.0, 10.0), (3, 35.0, 0.0, 0.0, 10.0))
+        roster = [ModelSpec("standard", route_selector=1),
+                  ModelSpec("risky", route_selector=0),
+                  ModelSpec("constant_velocity", route_selector=1),
+                  ModelSpec("emergency_brake"), ModelSpec("standard")]
+        batch = run_enumerated(seed, roster)
+        in_batch = len(planner_calls)
+        assert batch.n_failed == 0
+        assert {c.log.frames[-1].get(3).y > 1.0 for c in batch.children} == {
+            True, False}  # some children turn onto C
+        assert_children_run_alone(batch, seed)
+        assert in_batch < (len(planner_calls) - in_batch) / 2
+
+    def test_mapless_seed(self, planner_calls):
+        seed = seed_of(None, (1, 0.0, 0.0, 0.3, 9.0), (2, 20.0, 5.0, 0.3, 7.0))
+        roster = [ModelSpec("standard"), ModelSpec("risky"),
+                  ModelSpec("constant_velocity"), ModelSpec("emergency_brake")]
+        batch = run_enumerated(seed, roster)
+        in_batch = len(planner_calls)
+        assert batch.n_failed == 0
+        assert_children_run_alone(batch, seed)
+        assert in_batch < (len(planner_calls) - in_batch) / 2
+
+    def test_batches_do_not_leak_into_each_other(self, straight_map):
+        vehicles = [(1, 10.0, 0.0, 0.0, 8.0), (2, 30.0, 0.0, 0.0, 10.0)]
+        roster = [ModelSpec("standard"), ModelSpec("risky"),
+                  ModelSpec("constant_velocity")]
+        straight = seed_of(straight_map, *vehicles)
+        bend = seed_of(bend_map(), *vehicles)  # same states, other paths
+        alone = {name: [c.log.digest for c in run_enumerated(seed, roster).children]
+                 for name, seed in (("straight", straight), ("bend", bend))}
+        assert alone["straight"] != alone["bend"]
+        for name, seed in (("bend", bend), ("straight", straight), ("bend", bend)):
+            again = [c.log.digest for c in run_enumerated(seed, roster).children]
+            assert again == alone[name]
+
+    def test_shared_memo_tells_paths_apart(self, straight_map):
+        vehicles = [(1, 10.0, 0.0, 0.0, 8.0), (2, 30.0, 0.0, 0.0, 10.0)]
+        spec = ModelSpec("standard")
+        a = simulator.Assignment({1: spec, 2: spec}, ("sampled", 0))
+        memo = {}
+        first = run_child(seed_of(straight_map, *vehicles), a, plan_memo=memo)
+        bend = seed_of(bend_map(), *vehicles)
+        second = run_child(bend, a, plan_memo=memo)
+        assert second.digest != first.digest
+        assert second.digest == run_child(bend, a).digest
+
+    def test_signed_zero_is_another_input(self, straight_map, planner_calls,
+                                          tmp_path):
+        # vehicle 2 stands in the recording with vy 0.0 or -0.0
+        def recording(vy):
+            return tuple(SceneFrame(100 * (f + 1), (
+                ParticipantState(1, "car", 10.0 + 0.8 * f, 0.0, 0.0, 8.0, 0.0),
+                ParticipantState(2, "car", 60.0, 0.0, 0.0, 0.0, vy),
+            )) for f in range(45))
+
+        a = simulator.Assignment({1: ModelSpec("standard"), 2: ModelSpec("replay")},
+                                 ("sampled", 0))
+        memo = {}
+        logs = []
+        for vy in (0.0, -0.0):
+            rec = recording(vy)
+            seed = SeedScene(straight_map, rec[:10])
+            logs.append(run_child(seed, a, recorded=rec, plan_memo=memo))
+            assert logs[-1].digest == run_child(seed, a, recorded=rec).digest
+        # each child planned every replan itself: no key matched across them
+        assert len(planner_calls) == 4 * 6
+        assert len(memo) == 2 * 6
+        assert logs[0].frames == logs[1].frames  # equal as numbers only
+        assert logs[0].digest != logs[1].digest
+        write_log(logs[0], tmp_path / "plus.csv")
+        write_log(logs[1], tmp_path / "minus.csv")
+        plus = (tmp_path / "plus.csv").read_text()
+        minus = (tmp_path / "minus.csv").read_text()
+        assert minus != plus
+        assert minus == plus.replace("car,60.0,0.0,0.0,0.0,", "car,60.0,0.0,0.0,-0.0,")
+
+    def test_failing_spec_fails_every_child_that_draws_it(self, following_scene):
+        _, seed = following_scene
+        # v0 = 1e-300 makes (v / v0) ** delta overflow in the IDM law
+        overflow = ModelSpec("standard", params=profile_params("standard", v0=1e-300))
+        roster = [overflow, ModelSpec("constant_velocity")]
+        for jobs in (1, 2):
+            batch = run_enumerated(seed, roster, jobs=jobs)
+            assert batch.n_failed == 3
+            for child in batch.failures:
+                assert (child.step, child.model_kind, child.error_class) == (
+                    0, "standard", "OverflowError")
+                assert child.assignment.mapping[child.track_id] == overflow
+            assert_children_run_alone(batch, seed)
