@@ -95,8 +95,7 @@ def states_key(frame) -> bytes:
     pack = _STATE_FLOATS.pack
     parts = []
     for s in frame.states:
-        kind = s.agent_type.encode()
-        parts.append(b"%d %d %s" % (s.track_id, len(kind), kind))
+        parts.append(b"%a %a" % (s.track_id, s.agent_type))
         parts.append(pack(s.x, s.y, s.yaw, s.vx, s.vy, s.length, s.width))
     return b"".join(parts)
 
