@@ -127,18 +127,12 @@ def resolve_spec(spec: ModelSpec, initial_speed) -> ModelSpec:
     return replace(spec, params=params)
 
 
-def path_neighbours(path: Path, self_id, states):
+def path_neighbours(self_id, states, projections):
     """(station, state) of every other participant within LEADER_CLEARANCE
-    of `path`'s centerline."""
-    project = path.polyline.project
-    out = []
-    for other in states:
-        if other.track_id == self_id:
-            continue
-        station, lateral, _ = project(other.x, other.y)
-        if abs(lateral) <= LEADER_CLEARANCE:
-            out.append((station, other))
-    return out
+    of a path, given `projections`: the path's `Polyline.project` result for
+    each of `states`, in the same order."""
+    return [(proj[0], other) for other, proj in zip(states, projections)
+            if other.track_id != self_id and abs(proj[1]) <= LEADER_CLEARANCE]
 
 
 def leaders_ahead(me, own_station, neighbours):
@@ -181,24 +175,29 @@ def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path) -> Trajectory
     if spec.kind == "replay":
         raise ModelError("replay models plan via plan_replay")
     me = view.self_state()
+    v = me.speed
+    idm = spec.kind in IDM_KINDS
+    if idm:
+        params = spec.params
+        if params is None or params.v0 is None:
+            params = resolve_spec(spec, v).params
+
+    neighbours = ()
     degenerate = path.polyline is None
     if degenerate:
         s = 0.0
         yaw = me.yaw
+    elif idm:
+        states = view.current.states
+        project = path.polyline.project
+        projections = [project(other.x, other.y) for other in states]
+        s = projections[states.index(me)][0]
+        neighbours = path_neighbours(view.self_id, states, projections)
+        # nearest first, so the first one ahead leads; equal stations
+        # put the slower, then the shorter vehicle first
+        neighbours.sort(key=lambda e: (e[0], e[1].speed, e[1].length))
     else:
         s, _ = path.project(me.x, me.y)
-    v = me.speed
-
-    neighbours = ()
-    if spec.kind in IDM_KINDS:
-        params = spec.params
-        if params is None or params.v0 is None:
-            params = resolve_spec(spec, v).params
-        if not degenerate:
-            neighbours = path_neighbours(path, view.self_id, view.current.states)
-            # nearest first, so the first one ahead leads; equal stations
-            # put the slower, then the shorter vehicle first
-            neighbours.sort(key=lambda e: (e[0], e[1].speed, e[1].length))
 
     states = []
     for _ in range(view.horizon_steps):

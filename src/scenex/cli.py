@@ -9,9 +9,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import yaml
 
@@ -60,6 +61,25 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_positive_number(value) -> bool:
+    finite = _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+    return finite and value > 0
+
+
+# RunConfig field annotation -> (accepts a value, what the field must be)
+_FIELD_RULES = {
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a string"),
+    "dict | None": (lambda v: v is None or isinstance(v, dict), "a mapping"),
+    "int": (_is_int, "an integer"),
+    "float": (_is_positive_number, "a finite number > 0"),
+}
+
+
 def load_run_config(path) -> RunConfig:
     with open(path) as fh:
         try:
@@ -80,6 +100,13 @@ def load_run_config(path) -> RunConfig:
     for req in ("roster", "output_dir"):
         if req not in payload:
             raise ConfigError(f"{path}: missing required field {req!r}")
+    for field in fields(RunConfig):
+        if field.name in payload:
+            accepts, what = _FIELD_RULES[field.type]
+            value = payload[field.name]
+            if not accepts(value):
+                raise ConfigError(
+                    f"{path}: field {field.name!r} must be {what}, got {value!r}")
     cfg = RunConfig(**payload)
     if (cfg.tracks is None) == (cfg.synth is None):
         raise ConfigError(
@@ -219,6 +246,10 @@ def _write_columns_csv(path, columns) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if args.resamples < 1:
+        raise ConfigError(f"--resamples must be >= 1, got {args.resamples}")
+    if args.sizes and min(args.sizes) < 1:
+        raise ConfigError(f"--sizes must all be >= 1, got {args.sizes}")
     os.makedirs(args.out, exist_ok=True)
     density_cols = {}
     cumulative_cols = {}

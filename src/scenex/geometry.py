@@ -45,9 +45,15 @@ def segment_intersection(ax, ay, bx, by, cx, cy, dx, dy):
 
 
 class Polyline:
-    """Immutable 2D polyline with precomputed cumulative arc length."""
+    """Immutable 2D polyline with precomputed cumulative arc length.
 
-    __slots__ = ("xs", "ys", "cum")
+    `_segments` holds one row (ax, ay, dx, dy, seg, seg * seg, cum_a) per
+    segment from (ax, ay) to (ax + dx, ay + dy), `seg` its length as the
+    difference of the cumulative stations and `cum_a` the station of its
+    start, so that `project` reads every operand instead of deriving it.
+    """
+
+    __slots__ = ("xs", "ys", "cum", "_segments")
 
     def __init__(self, points):
         pts = [(float(x), float(y)) for x, y in points]
@@ -66,6 +72,12 @@ class Polyline:
         self.xs = xs
         self.ys = ys
         self.cum = cum
+        segments = []
+        for i in range(len(cum) - 1):
+            seg = cum[i + 1] - cum[i]
+            segments.append((xs[i], ys[i], xs[i + 1] - xs[i], ys[i + 1] - ys[i],
+                             seg, seg * seg, cum[i]))
+        self._segments = tuple(segments)
 
     @property
     def length(self) -> float:
@@ -110,24 +122,30 @@ class Polyline:
         lateral the signed perpendicular offset to the matched segment's line
         (left of travel direction positive), distance the Euclidean distance
         to the closest polyline point.
+
+        Segments are scanned in order and a later one wins only when it is
+        closer by more than 1e-12 in squared distance, so a point equally
+        near two segments takes the first.
         """
         best_d2 = math.inf
-        best_station = 0.0
-        best_lat = 0.0
-        for i in range(len(self.cum) - 1):
-            ax, ay = self.xs[i], self.ys[i]
-            dxs = self.xs[i + 1] - ax
-            dys = self.ys[i + 1] - ay
-            seg = self.cum[i + 1] - self.cum[i]
-            t = ((x - ax) * dxs + (y - ay) * dys) / (seg * seg)
-            tc = min(max(t, 0.0), 1.0)
-            px = ax + tc * dxs
-            py = ay + tc * dys
-            ddx = x - px
-            ddy = y - py
+        best = None
+        best_t = 0.0
+        for row in self._segments:
+            ax, ay, dx, dy, _, seg2, _ = row
+            t = ((x - ax) * dx + (y - ay) * dy) / seg2
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+            ddx = x - (ax + t * dx)
+            ddy = y - (ay + t * dy)
             d2 = ddx * ddx + ddy * ddy
             if d2 < best_d2 - 1e-12:
                 best_d2 = d2
-                best_station = self.cum[i] + tc * seg
-                best_lat = (dxs * (y - ay) - dys * (x - ax)) / seg
-        return best_station, best_lat, math.sqrt(best_d2)
+                best = row
+                best_t = t
+        if best is None:  # no finite distance, e.g. a NaN point
+            return 0.0, 0.0, math.inf
+        ax, ay, dx, dy, seg, _, cum_a = best
+        return (cum_a + best_t * seg, (dx * (y - ay) - dy * (x - ax)) / seg,
+                math.sqrt(best_d2))

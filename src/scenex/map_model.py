@@ -73,7 +73,11 @@ _NO_MAP_PATH = Path(None)
 
 
 class MapGraph:
-    """Immutable lane graph; all queries are read-only."""
+    """Immutable lane graph; all queries are read-only.
+
+    Lanes are kept in id order with the bounding box of each centerline,
+    (lane id, polyline, min x, min y, max x, max y), for `match_to_lane`.
+    """
 
     def __init__(self, lanes):
         self._lanes = {}
@@ -90,6 +94,11 @@ class MapGraph:
                     raise MapFormatError(
                         f"lane {lane.lane_id!r}: dangling successor {succ!r}"
                     )
+        boxes = []
+        for lane_id in sorted(self._lanes):
+            pl = self._lanes[lane_id].polyline
+            boxes.append((lane_id, pl, min(pl.xs), min(pl.ys), max(pl.xs), max(pl.ys)))
+        self._boxes = tuple(boxes)
 
     @property
     def lanes(self):
@@ -97,7 +106,7 @@ class MapGraph:
 
     @property
     def lane_ids(self):
-        return sorted(self._lanes)
+        return [box[0] for box in self._boxes]
 
     def lane(self, lane_id) -> Lane:
         try:
@@ -183,17 +192,24 @@ def match_to_lane(graph: MapGraph, x, y, yaw, max_distance=DEFAULT_MATCH_DISTANC
 
     Only lanes whose tangent at the matched station differs from `yaw` by
     less than 90 degrees are candidates. Raises OffMapError when no lane is
-    within `max_distance`.
+    within `max_distance`. A lane whose bounding box lies farther than
+    `max_distance` + 1e-6 is skipped without projecting: its centerline is
+    farther still, so it could not match.
     """
     if len(graph) == 0:
         raise OffMapError("map has no lanes")
+    reach = max_distance + 1e-6
+    reach2 = reach * reach
     best = None
-    for lane_id in graph.lane_ids:
-        lane = graph.lane(lane_id)
-        station, lateral, dist = lane.polyline.project(x, y)
+    for lane_id, polyline, x0, y0, x1, y1 in graph._boxes:
+        ex = x0 - x if x < x0 else (x - x1 if x > x1 else 0.0)
+        ey = y0 - y if y < y0 else (y - y1 if y > y1 else 0.0)
+        if ex * ex + ey * ey > reach2:
+            continue
+        station, lateral, dist = polyline.project(x, y)
         if dist > max_distance:
             continue
-        if abs(wrap_angle(lane.polyline.tangent_at(station) - yaw)) >= math.pi / 2:
+        if abs(wrap_angle(polyline.tangent_at(station) - yaw)) >= math.pi / 2:
             continue
         key = (abs(lateral), lane_id)
         if best is None or key < best[0]:

@@ -181,12 +181,14 @@ class MetricEngine:
         """All ordered pair contexts of a frame.
 
         `routes` maps a track id to its (route selector, seed lane); any other
-        participant is judged on its lane's straightest route.
+        participant is judged on its lane's straightest route. Every state
+        is projected once onto each distinct path of the frame.
         """
         routes = routes or {}
         states = frame.states
+        projections = {}  # path -> its Polyline.project of every state
         info = []
-        for state in states:
+        for i, state in enumerate(states):
             selector, seed_lane = routes.get(state.track_id, ("straightest", None))
             try:
                 path = path_for_pose(self.map_graph, state.x, state.y, state.yaw,
@@ -196,8 +198,13 @@ class MetricEngine:
             station = None
             gaps = {}
             if path is not None and path.polyline is not None:
-                station, _ = path.project(state.x, state.y)
-                neighbours = path_neighbours(path, state.track_id, states)
+                on_path = projections.get(path)
+                if on_path is None:
+                    project = path.polyline.project
+                    on_path = projections[path] = [project(other.x, other.y)
+                                                   for other in states]
+                station = on_path[i][0]
+                neighbours = path_neighbours(state.track_id, states, on_path)
                 gaps = {other.track_id: s_net for other, s_net
                         in leaders_ahead(state, station, neighbours)}
             info.append((state, path, station, gaps))

@@ -1,9 +1,10 @@
 import pytest
 
+from perfbench import junction
 from scenex.behavior import ModelSpec
 from scenex.geometry import Polyline
-from scenex.map_model import Lane, MapGraph
-from scenex.scene_io import synth_scene
+from scenex.map_model import Lane, MapGraph, load_map
+from scenex.scene_io import load_tracks, synth_scene
 
 
 def lane(lane_id, points, successors=(), width=3.5):
@@ -54,6 +55,14 @@ def roster6():
 @pytest.fixture
 def following_scene():
     return synth_scene("car_following", {"n_vehicles": 2, "gap": 20.0, "speed": 10.0})
+
+
+@pytest.fixture(scope="module")
+def junction_scene(tmp_path_factory):
+    """The benchmark's seed-3 junction map (20 lanes) and its recorded frames."""
+    map_path, tracks_path = junction.write_inputs(
+        3, str(tmp_path_factory.mktemp("junction")))
+    return load_map(map_path), load_tracks(tracks_path).cases[0].frames
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,0 +1,119 @@
+"""Plain reference versions of the projection kernels, for the tests.
+
+`project` is the segment loop of `Polyline.project` written out from the
+polyline's vertices and stations, `match_to_lane` projects a pose onto every
+lane of the map, and `pair_contexts` projects every state once per state that
+looks for leaders. The kernels in `scenex` must return the same floats, bit
+for bit.
+"""
+import math
+
+from scenex.behavior import LEADER_CLEARANCE, leaders_ahead
+from scenex.errors import OffMapError
+from scenex.geometry import wrap_angle
+from scenex.map_model import DEFAULT_MATCH_DISTANCE, path_for_pose
+from scenex.metrics import PairContext
+
+
+def project(polyline, x, y):
+    """(station, lateral, distance) of a point on a polyline."""
+    xs, ys, cum = polyline.xs, polyline.ys, polyline.cum
+    best_d2 = math.inf
+    best_station = 0.0
+    best_lat = 0.0
+    for i in range(len(cum) - 1):
+        ax, ay = xs[i], ys[i]
+        dxs = xs[i + 1] - ax
+        dys = ys[i + 1] - ay
+        seg = cum[i + 1] - cum[i]
+        t = ((x - ax) * dxs + (y - ay) * dys) / (seg * seg)
+        tc = min(max(t, 0.0), 1.0)
+        px = ax + tc * dxs
+        py = ay + tc * dys
+        ddx = x - px
+        ddy = y - py
+        d2 = ddx * ddx + ddy * ddy
+        if d2 < best_d2 - 1e-12:
+            best_d2 = d2
+            best_station = cum[i] + tc * seg
+            best_lat = (dxs * (y - ay) - dys * (x - ax)) / seg
+    return best_station, best_lat, math.sqrt(best_d2)
+
+
+def match_to_lane(graph, x, y, yaw, max_distance=DEFAULT_MATCH_DISTANCE):
+    """(lane id, station, lateral) of the lane minimizing |lateral| among
+    those within `max_distance` whose heading is within 90 degrees of yaw."""
+    if len(graph) == 0:
+        raise OffMapError("map has no lanes")
+    best = None
+    for lane_id in graph.lane_ids:
+        polyline = graph.lane(lane_id).polyline
+        station, lateral, dist = project(polyline, x, y)
+        if dist > max_distance:
+            continue
+        if abs(wrap_angle(polyline.tangent_at(station) - yaw)) >= math.pi / 2:
+            continue
+        key = (abs(lateral), lane_id)
+        if best is None or key < best[0]:
+            best = (key, lane_id, station, lateral)
+    if best is None:
+        raise OffMapError("off-map")
+    return best[1], best[2], best[3]
+
+
+def pair_contexts(engine, frame, routes=None):
+    """`MetricEngine.pair_contexts` with each state's own station and each
+    leader candidate projected separately."""
+    routes = routes or {}
+    states = frame.states
+    info = []
+    for state in states:
+        selector, seed_lane = routes.get(state.track_id, ("straightest", None))
+        try:
+            path = path_for_pose(engine.map_graph, state.x, state.y, state.yaw,
+                                 selector, engine.route_horizon, seed_lane)
+        except OffMapError:
+            path = None
+        station = None
+        gaps = {}
+        if path is not None and path.polyline is not None:
+            station = project(path.polyline, state.x, state.y)[0]
+            neighbours = []
+            for other in states:
+                if other.track_id == state.track_id:
+                    continue
+                other_station, lateral, _ = project(path.polyline, other.x, other.y)
+                if abs(lateral) <= LEADER_CLEARANCE:
+                    neighbours.append((other_station, other))
+            gaps = {other.track_id: s_net for other, s_net
+                    in leaders_ahead(state, station, neighbours)}
+        info.append((state, path, station, gaps))
+    contexts = []
+    for a, path_a, st_a, gaps in info:
+        for b, path_b, st_b, _ in info:
+            if a.track_id == b.track_id:
+                continue
+            s_net = gaps.get(b.track_id)
+            delta_v = d_self = d_other = None
+            if s_net is not None:
+                delta_v = a.speed - b.speed
+            if (st_a is not None and st_b is not None
+                    and path_a.source_route != path_b.source_route):
+                hit = engine._conflict(path_a, path_b)
+                if hit is not None:
+                    _, sa, sb = hit
+                    if sa - st_a > 1e-9 and sb - st_b > 1e-9:
+                        d_self = sa - st_a
+                        d_other = sb - st_b
+            contexts.append(PairContext(a, b, s_net, delta_v, d_self, d_other))
+    return contexts
+
+
+def bits(value):
+    """A float, or a tuple of floats and other values, with every float
+    replaced by its exact hex form, so that -0.0 and 0.0 differ."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    return value

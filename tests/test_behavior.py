@@ -41,7 +41,9 @@ def first_leader(view, path):
     """(leader, net gap) of the view's own vehicle on `path`, or None."""
     me = view.self_state()
     own_station, _ = path.project(me.x, me.y)
-    neighbours = sorted(path_neighbours(path, view.self_id, view.current.states),
+    states = view.current.states
+    projections = [path.polyline.project(s.x, s.y) for s in states]
+    neighbours = sorted(path_neighbours(view.self_id, states, projections),
                         key=lambda e: e[0])
     return next(leaders_ahead(me, own_station, neighbours), None)
 
@@ -186,6 +188,26 @@ class TestPlanPathFollow:
         traj = plan_path_follow(view, ModelSpec("constant_velocity"), main_path)
         assert traj.states[-1].x == pytest.approx(129.0)
         assert traj.states[-1].yaw == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("kind, projected", [
+        ("standard", [1, 2, 3]), ("constant_velocity", [1])])
+    def test_projects_each_state_once(self, main_path, monkeypatch, kind, projected):
+        """An IDM driver reads its own station from the projections it takes
+        for its leaders; the other kinds project only themselves."""
+        view = view_of([state(2, 30.0, vx=5.0), state(1, 10.0, vx=10.0),
+                        state(3, 50.0, y=1.0)], 1)
+        calls = []
+        original = Polyline.project
+
+        def counting(pl, x, y):
+            calls.append((x, y))
+            return original(pl, x, y)
+
+        expected = plan_path_follow(view, ModelSpec(kind), main_path)
+        monkeypatch.setattr(Polyline, "project", counting)
+        assert plan_path_follow(view, ModelSpec(kind), main_path) == expected
+        by_id = {s.track_id: (s.x, s.y) for s in view.current.states}
+        assert calls == [by_id[tid] for tid in projected]
 
     def test_replay_kind_rejected(self, main_path):
         view = view_of([state(1, 0.0)], 1)

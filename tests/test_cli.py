@@ -4,7 +4,14 @@ import os
 
 import pytest
 
-from scenex.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, build_parser, main
+from scenex.cli import (
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    build_parser,
+    load_run_config,
+    main,
+)
 from scenex.map_model import load_map
 from scenex.metrics import read_metric_table
 from scenex.scene_io import load_tracks
@@ -29,21 +36,20 @@ models:
 
 
 def write_config(tmp_path, roster=ROSTER, **extra):
+    """A synth run config; `extra` adds fields or replaces the defaults."""
     roster_path = tmp_path / "roster.yaml"
     roster_path.write_text(roster)
     out = tmp_path / "out"
-    lines = [
-        "format: scenex-run",
-        "version: 1",
-        f"roster: {roster_path}",
-        f"output_dir: {out}",
-        "synth:",
-        "  template: car_following",
-        "  params: {n_vehicles: 2, gap: 20.0, speed: 10.0}",
-        "n_runs: 10",
-    ]
-    for k, v in extra.items():
-        lines.append(f"{k}: {v}")
+    fields = {
+        "roster": str(roster_path),
+        "output_dir": str(out),
+        "synth": "{template: car_following, "
+                 "params: {n_vehicles: 2, gap: 20.0, speed: 10.0}}",
+        "n_runs": "10",
+    }
+    fields.update(extra)
+    lines = ["format: scenex-run", "version: 1"]
+    lines += [f"{k}: {v}" for k, v in fields.items()]
     cfg = tmp_path / "run.yaml"
     cfg.write_text("\n".join(lines) + "\n")
     return cfg, out
@@ -168,6 +174,40 @@ class TestValidation:
         cfg, _ = write_config(tmp_path, replan_interval="0")
         assert main(["simulate", "--config", str(cfg)]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_runs", "abc"),
+        ("horizon_steps", "x"),
+        ("history_len", '"3"'),
+        ("rng_seed", "s"),
+        ("replan_interval", "2.5"),
+        ("n_runs", "true"),
+        ("enumeration_cap", "1000.0"),
+        ("route_horizon", "-5"),
+        ("route_horizon", "0"),
+        ("pttc_decel", ".nan"),
+        ("wttc_accel", ".inf"),
+        ("kde_bandwidth", "-0.5"),
+        ("pttc_decel", "fast"),
+        ("route_horizon", "false"),
+        ("output_dir", "[a, b]"),
+        ("map", "7"),
+        ("synth", "car_following"),
+    ])
+    @pytest.mark.parametrize("command", ["simulate", "enumerate"])
+    def test_mistyped_field_rejected_at_load(self, tmp_path, capsys, command,
+                                             field, value):
+        cfg, out = write_config(tmp_path, **{field: value})
+        assert main([command, "--config", str(cfg), "--jobs", "1"]) == EXIT_VALIDATION
+        assert f"field {field!r} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_values_of_float_fields_accepted(self, tmp_path):
+        cfg, _ = write_config(tmp_path, route_horizon="150", pttc_decel="3",
+                              kde_bandwidth="0.5", rng_seed="-4")
+        loaded = load_run_config(cfg)
+        assert (loaded.route_horizon, loaded.pttc_decel, loaded.kde_bandwidth,
+                loaded.rng_seed) == (150, 3, 0.5, -4)
+
     @pytest.mark.parametrize("entry", [
         "{kind: standard, params: {T: -1.0}}",
         "{kind: constant_velocity, weight: .nan}",
@@ -260,6 +300,20 @@ class TestAnalyze:
                            "resamples"]
         sizes = {int(r[2]) for r in rows[1:]}
         assert sizes == {2, 5}
+
+    @pytest.mark.parametrize("option, value", [
+        ("--resamples", "0"), ("--resamples", "-2"),
+        ("--sizes", "0,5"), ("--sizes", "2,-5"),
+    ])
+    def test_non_positive_option_rejected(self, tmp_path, capsys, metrics_table,
+                                          option, value):
+        out = tmp_path / "analysis"
+        argv = ["analyze", str(metrics_table), "--out", str(out), option, value]
+        if option == "--resamples":
+            argv += ["--sizes", "2,5"]
+        assert main(argv) == EXIT_VALIDATION
+        assert f"{option} must" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSynthSceneCommand:

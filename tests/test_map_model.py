@@ -1,9 +1,16 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scenex.errors import MapFormatError, OffMapError, RouteSelectionError
+from perfbench import junction
+from scenex.errors import GeometryError, MapFormatError, OffMapError, RouteSelectionError
+from scenex.geometry import Polyline
 from scenex.map_model import (
+    DEFAULT_MATCH_DISTANCE,
+    Lane,
+    MapGraph,
     enumerate_routes,
     load_map,
     match_to_lane,
@@ -13,6 +20,8 @@ from scenex.map_model import (
     save_map,
     select_route,
 )
+from tests import oracles
+from tests.oracles import bits
 
 TWO_LANE_MAP = """\
 format: scenex-map
@@ -294,3 +303,113 @@ def test_path_for_pose_end_to_end(t_junction_map):
     path = path_for_pose(t_junction_map, 10.0, 0.5, 0.0)
     assert path.source_route == ("A", "B")
     assert path.polyline.length == pytest.approx(150.0)
+
+
+# -- box-pruned lane matching against the unpruned match of tests/oracles.py --
+
+def match_outcome(fn, graph, x, y, yaw, max_distance):
+    try:
+        return bits(fn(graph, x, y, yaw, max_distance))
+    except OffMapError:
+        return OffMapError
+
+
+def same_match(graph, x, y, yaw, max_distance=DEFAULT_MATCH_DISTANCE):
+    got = match_outcome(match_to_lane, graph, x, y, yaw, max_distance)
+    assert got == match_outcome(oracles.match_to_lane, graph, x, y, yaw, max_distance)
+    return got
+
+
+centimetres = st.integers(-10_000, 10_000).map(lambda i: i / 100.0)
+match_distances = st.sampled_from([DEFAULT_MATCH_DISTANCE, 0.5, 3.0, 25.0])
+# distances from a lane or its bounding box, around the match distance
+EDGE_OFFSETS = (-1e-6, -1e-9, -1e-12, 0.0, 1e-12, 1e-9, 1e-6, 2e-6)
+
+
+@st.composite
+def lane_maps(draw):
+    lanes = []
+    for k in range(draw(st.integers(1, 6))):
+        points = draw(st.lists(st.tuples(centimetres, centimetres),
+                               min_size=2, max_size=6))
+        try:
+            lanes.append(Lane(f"L{k}", Polyline(points), 3.5, ()))
+        except GeometryError:
+            continue
+    if not lanes:
+        lanes.append(Lane("L", Polyline([(0.0, 0.0), (10.0, 0.0)]), 3.5, ()))
+    return MapGraph(lanes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lane_maps(), centimetres, centimetres,
+       st.floats(-2 * math.pi, 2 * math.pi), match_distances)
+def test_match_matches_oracle_random(graph, x, y, yaw, max_distance):
+    same_match(graph, x, y, yaw, max_distance)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lane_maps(), st.data(), match_distances, st.sampled_from(EDGE_OFFSETS))
+def test_match_matches_oracle_at_the_match_distance(graph, data, max_distance,
+                                                    offset):
+    """Poses `max_distance` (give or take a rounding) from a point of a lane,
+    or from an edge or a corner of its bounding box, at any heading."""
+    lane = graph.lane(data.draw(st.sampled_from(graph.lane_ids)))
+    pl = lane.polyline
+    reach = max_distance + offset
+    if data.draw(st.booleans()):
+        bx, by = pl.point_at(data.draw(st.floats(0.0, pl.length)))
+        a = data.draw(st.floats(-math.pi, math.pi))
+        x, y = bx + reach * math.cos(a), by + reach * math.sin(a)
+    else:
+        x0, x1, y0, y1 = min(pl.xs), max(pl.xs), min(pl.ys), max(pl.ys)
+        x = data.draw(st.sampled_from([x0 - reach, x1 + reach, x0, x1]))
+        y = data.draw(st.sampled_from([y0 - reach, y1 + reach, y0, y1]))
+    yaw = data.draw(st.floats(-math.pi, math.pi))
+    same_match(graph, x, y, yaw, max_distance)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lane_maps(), st.data())
+def test_match_matches_oracle_with_reversed_yaw(graph, data):
+    lane = graph.lane(data.draw(st.sampled_from(graph.lane_ids)))
+    station = data.draw(st.floats(0.0, lane.polyline.length))
+    x, y = lane.polyline.point_at(station)
+    yaw = lane.polyline.tangent_at(station)
+    for turn in (0.0, math.pi, -math.pi, math.pi / 2, -math.pi / 2):
+        same_match(graph, x, y, yaw + turn)
+
+
+def test_match_at_exactly_the_match_distance(straight_map):
+    assert match_to_lane(straight_map, 40.0, 10.0, 0.0) == ("main", 40.0, 10.0)
+    assert same_match(straight_map, 110.0, 0.0, 0.0) == ("main", "0x1.9000000000000p+6",
+                                                         "0x0.0p+0")
+    for x, y in ((40.0, 10.000001), (110.000001, 0.0), (-10.000001, 0.0)):
+        assert same_match(straight_map, x, y, 0.0) is OffMapError
+
+
+def test_lane_ids_sorted_copy(t_junction_map):
+    ids = t_junction_map.lane_ids
+    ids.append("Z")
+    assert t_junction_map.lane_ids == ["A", "B", "C"]
+
+
+def test_match_matches_oracle_on_the_junction_map(junction_scene):
+    graph, frames = junction_scene
+    states = [s for f in frames for s in f.states]
+    assert len(states) == junction.N_FRAMES * 8
+    matched = 0
+    for s in states:
+        for dx, dy, turn in ((0.0, 0.0, 0.0), (0.0, 0.0, math.pi),
+                             (3.0, -2.0, 0.0), (0.0, 9.5, math.pi / 2)):
+            if same_match(graph, s.x + dx, s.y + dy, s.yaw + turn) is not OffMapError:
+                matched += 1
+    assert matched > len(states)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-130.0, 130.0), st.floats(-130.0, 130.0),
+       st.floats(-math.pi, math.pi), match_distances)
+def test_match_matches_oracle_anywhere_on_the_junction_map(junction_scene, x, y,
+                                                          yaw, max_distance):
+    same_match(junction_scene[0], x, y, yaw, max_distance)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenex.behavior import ModelSpec
-from scenex.map_model import MapGraph, path_for_pose
+from scenex.errors import OffMapError
+from scenex.geometry import Polyline
+from scenex.map_model import MapGraph, match_seed_lane, path_for_pose
 from scenex.metrics import (
     DEFAULT_METRICS,
     MAX_IS_WORST,
@@ -32,6 +34,8 @@ from scenex.scene_io import (
     write_log,
 )
 from scenex.simulator import run_enumerated
+from tests import oracles
+from tests.oracles import bits
 
 
 def state(tid, x, y=0.0, yaw=0.0, vx=0.0, vy=0.0, length=4.5, width=1.8):
@@ -440,6 +444,68 @@ class TestFingerprintMemo:
         for child in batch.children:
             assert exact(engine.aggregate(child.log)) == exact(
                 MetricEngine(graph).aggregate(child.log))
+
+
+def context_bits(contexts):
+    return [(c.a.track_id, c.b.track_id,
+             bits((c.s_net, c.delta_v, c.d_self, c.d_other))) for c in contexts]
+
+
+class TestSharedProjections:
+    """`pair_contexts` projects each state once onto each distinct path of a
+    frame and must equal projecting it anew for every state that looks."""
+
+    def test_vehicles_sharing_a_lane(self, t_junction_map, monkeypatch):
+        # 1 and 2 share A's straight path, 3 drives on C, 4 faces the other way
+        frame = SceneFrame(100, (
+            state(1, 10.0, 0.4, vx=10.0), state(2, 30.0, -0.3, vx=8.0),
+            state(3, 60.0, 30.0, yaw=math.pi / 2, vy=5.0),
+            state(4, 40.0, 1.0, yaw=math.pi, vx=-3.0),
+        ))
+        engine = MetricEngine(t_junction_map)
+        expected = context_bits(oracles.pair_contexts(MetricEngine(t_junction_map),
+                                                      frame))
+        path = path_for_pose(t_junction_map, 10.0, 0.4, 0.0)
+        projected = []
+        original = Polyline.project
+
+        def counting(pl, x, y):
+            if pl is path.polyline:
+                projected.append((x, y))
+            return original(pl, x, y)
+
+        monkeypatch.setattr(Polyline, "project", counting)
+        contexts = engine.pair_contexts(frame)
+        assert context_bits(contexts) == expected
+        assert projected == [(s.x, s.y) for s in frame.states]
+        following = {(c.a.track_id, c.b.track_id) for c in contexts if c.following}
+        assert (1, 2) in following and (1, 3) not in following
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_equals_per_state_projection_on_the_junction_map(self, junction_scene,
+                                                             data):
+        graph, frames = junction_scene
+        frame = frames[data.draw(st.integers(0, len(frames) - 1))]
+        keep = data.draw(st.lists(st.sampled_from(frame.states), min_size=1,
+                                  unique_by=lambda s: s.track_id))
+        nudged = []
+        for s in keep:
+            dx = data.draw(st.sampled_from([0.0, 0.0, 1.5, -4.0, 12.0]))
+            dy = data.draw(st.sampled_from([0.0, 0.0, -0.5, 3.0]))
+            nudged.append(ParticipantState(s.track_id, s.agent_type, s.x + dx,
+                                           s.y + dy, s.yaw, s.vx, s.vy, s.length,
+                                           s.width))
+        frame = SceneFrame(frame.timestamp_ms, tuple(nudged))
+        routes = {}
+        for s in frame.states:
+            if data.draw(st.booleans()):
+                try:
+                    routes[s.track_id] = (0, match_seed_lane(graph, s, 0))
+                except OffMapError:
+                    pass
+        assert context_bits(MetricEngine(graph).pair_contexts(frame, routes)) == \
+            context_bits(oracles.pair_contexts(MetricEngine(graph), frame, routes))
 
 
 class TestPlugin:
