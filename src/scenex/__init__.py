@@ -1,71 +1,18 @@
 """Seed-scene extrapolation: closed-loop child-scenario simulation and
-criticality-density analysis for scenario-based testing."""
+criticality-density analysis for scenario-based testing.
 
-from .analysis import (
-    DensityEstimate,
-    Threshold,
-    convergence_study,
-    cumulative,
-    ground_truth_overlay,
-    kde,
-    threshold_fraction,
-)
-from .behavior import (
-    IdmParams,
-    ModelSpec,
-    Trajectory,
-    WorldView,
-    idm_accel,
-    load_roster,
-    plan_path_follow,
-    plan_replay,
-    profile_params,
-)
+The top level holds the names the README's Library section uses and the
+base error; everything else is imported from its module.
+"""
+
+from .analysis import kde
+from .behavior import ModelSpec
 from .errors import ScenexError
-from .map_model import (
-    Lane,
-    MapGraph,
-    Path,
-    enumerate_routes,
-    load_map,
-    match_to_lane,
-    path_intersection,
-    route_centerline,
-    save_map,
-    select_route,
-)
-from .metrics import (
-    MetricEngine,
-    MetricStats,
-    PairContext,
-    metric_distance,
-    metric_gap_time,
-    metric_inverse_ttc,
-    metric_pttc,
-    metric_wttc,
-    read_metric_table,
-    write_metric_table,
-)
-from .scene_io import (
-    ParticipantState,
-    ScenarioLog,
-    SceneFrame,
-    SeedScene,
-    extract_seed,
-    load_tracks,
-    synth_scene,
-    write_log,
-)
-from .simulator import (
-    Assignment,
-    BatchResult,
-    SimConfig,
-    assign_models,
-    enumerate_assignments,
-    enumeration_count,
-    run_batch,
-    run_child,
-    run_enumerated,
-)
+from .metrics import MetricEngine
+from .scene_io import synth_scene
+from .simulator import run_enumerated
+
+__all__ = ["MetricEngine", "ModelSpec", "ScenexError", "kde", "run_enumerated",
+           "synth_scene"]
 
 __version__ = "0.1.0"

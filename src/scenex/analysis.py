@@ -21,6 +21,7 @@ DEFAULT_BANDWIDTH = 0.1
 DEFAULT_GRID_SIZE = 512
 GRID_PAD_BANDWIDTHS = 5.0
 DEFAULT_CONVERGENCE_SIZES = (10, 100, 385, 1000)
+DEFAULT_RESAMPLES = 20
 
 
 @dataclass(frozen=True)
@@ -92,8 +93,8 @@ def threshold_fraction(values, metric, threshold: Threshold | None = None) -> fl
     return float(np.mean(values >= threshold.value))
 
 
-def convergence_study(full_values, sizes=DEFAULT_CONVERGENCE_SIZES, resamples=20,
-                      seed=0, bandwidth=DEFAULT_BANDWIDTH):
+def convergence_study(full_values, sizes=DEFAULT_CONVERGENCE_SIZES,
+                      resamples=DEFAULT_RESAMPLES, seed=0, bandwidth=DEFAULT_BANDWIDTH):
     """L1 distance between subset and full-population densities.
 
     For each size, `resamples` subsets are drawn without replacement and

@@ -183,13 +183,14 @@ def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path) -> Trajectory
             params = resolve_spec(spec, v).params
 
     neighbours = ()
-    degenerate = path.polyline is None
+    polyline = path.polyline
+    degenerate = polyline is None
     if degenerate:
         s = 0.0
         yaw = me.yaw
     elif idm:
         states = view.current.states
-        project = path.polyline.project
+        project = polyline.project
         projections = [project(other.x, other.y) for other in states]
         s = projections[states.index(me)][0]
         neighbours = path_neighbours(view.self_id, states, projections)
@@ -197,7 +198,7 @@ def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path) -> Trajectory
         # put the slower, then the shorter vehicle first
         neighbours.sort(key=lambda e: (e[0], e[1].speed, e[1].length))
     else:
-        s, _ = path.project(me.x, me.y)
+        s = polyline.project(me.x, me.y)[0]
 
     states = []
     for _ in range(view.horizon_steps):
@@ -221,8 +222,8 @@ def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path) -> Trajectory
             y = me.y + s1 * math.sin(yaw)
             th = yaw
         else:
-            x, y = path.point_at(s1, extrapolate=True)
-            th = path.tangent_at(s1)
+            x, y = polyline.point_at(s1, extrapolate=True)
+            th = polyline.tangent_at(s1)
         states.append(ParticipantState(
             me.track_id, me.agent_type, x, y, th,
             v1 * math.cos(th), v1 * math.sin(th), me.length, me.width,
@@ -272,10 +273,9 @@ def _spec_from_record(rec, index):
             raise SchemaError(f"models[{index}]: unknown param(s) {sorted(unknown)}")
     try:
         if raw is not None:
-            base = dict(IDM_PROFILES.get(kind, IDM_PROFILES["standard"]))
             v0 = raw.get("v0")
-            base.update({k: float(v) for k, v in raw.items() if k != "v0"})
-            params = IdmParams(v0=float(v0) if v0 is not None else None, **base)
+            params = profile_params(kind, None if v0 is None else float(v0),
+                                    **{k: float(v) for k, v in raw.items() if k != "v0"})
         return ModelSpec(
             kind=kind,
             params=params,

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -19,7 +18,7 @@ import yaml
 from . import analysis, metrics, scene_io, simulator
 from .behavior import load_roster
 from .errors import ConfigError, ScenexError
-from .map_model import DEFAULT_ROUTE_HORIZON, load_map, save_map
+from .map_model import load_map, save_map
 
 RUN_FORMAT = "scenex-run"
 RUN_VERSION = 1
@@ -38,25 +37,20 @@ class RunConfig:
     tracks: dict | None = None
     synth: dict | None = None
     n_runs: int = simulator.DEFAULT_N_RUNS
-    replan_interval: int = 5
-    horizon_steps: int = 30
-    rng_seed: int = 0
-    history_len: int = 10
+    replan_interval: int = simulator.SimConfig.replan_interval
+    horizon_steps: int = simulator.SimConfig.horizon_steps
+    rng_seed: int = simulator.SimConfig.rng_seed
+    history_len: int = simulator.SimConfig.history_len
     pttc_decel: float = metrics.DEFAULT_PTTC_DECEL
     wttc_accel: float = metrics.DEFAULT_WTTC_ACCEL
-    kde_bandwidth: float = analysis.DEFAULT_BANDWIDTH
-    route_horizon: float = DEFAULT_ROUTE_HORIZON
+    route_horizon: float = simulator.SimConfig.route_horizon
     enumeration_cap: int = simulator.DEFAULT_ENUMERATION_CAP
 
     def sim_config(self) -> simulator.SimConfig:
+        """The simulator's settings, copied field by field from this config."""
+        copied = {f.name: getattr(self, f.name) for f in fields(simulator.SimConfig)}
         try:
-            return simulator.SimConfig(
-                horizon_steps=self.horizon_steps,
-                replan_interval=self.replan_interval,
-                rng_seed=self.rng_seed,
-                history_len=self.history_len,
-                route_horizon=self.route_horizon,
-            )
+            return simulator.SimConfig(**copied)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -66,11 +60,12 @@ def _is_int(value) -> bool:
 
 
 def _is_positive_number(value) -> bool:
-    finite = _is_int(value) or (isinstance(value, float) and math.isfinite(value))
-    return finite and value > 0
+    """A number > 0 that is finite as a float (nan fails every comparison)."""
+    number = _is_int(value) or isinstance(value, float)
+    return number and 0 < value <= sys.float_info.max
 
 
-# RunConfig field annotation -> (accepts a value, what the field must be)
+# field annotation -> (accepts a value, what the field must be)
 _FIELD_RULES = {
     "str": (lambda v: isinstance(v, str), "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a string"),
@@ -78,6 +73,28 @@ _FIELD_RULES = {
     "int": (_is_int, "an integer"),
     "float": (_is_positive_number, "a finite number > 0"),
 }
+# mapping field of RunConfig -> (its keys' annotations, its required keys)
+_NESTED_FIELDS = {
+    "tracks": ({"path": "str", "case_id": "int", "current_index": "int"}, ("path",)),
+    "synth": ({"template": "str", "params": "dict | None"}, ("template",)),
+}
+
+
+def _check_fields(path, payload, annotations, required, prefix=""):
+    """Raise ConfigError naming the first unknown, missing or mistyped field."""
+    unknown = [f"{prefix}{k}" for k in payload if k not in annotations]
+    if unknown:
+        raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
+    for name in required:
+        if name not in payload:
+            raise ConfigError(f"{path}: missing required field {prefix + name!r}")
+    for name, annotation in annotations.items():
+        if name in payload:
+            accepts, what = _FIELD_RULES[annotation]
+            value = payload[name]
+            if not accepts(value):
+                raise ConfigError(
+                    f"{path}: field {prefix + name!r} must be {what}, got {value!r}")
 
 
 def load_run_config(path) -> RunConfig:
@@ -92,21 +109,12 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: field 'format' must be {RUN_FORMAT!r}")
     if doc.get("version") != RUN_VERSION:
         raise ConfigError(f"{path}: unsupported config version {doc.get('version')!r}")
-    known = {f for f in RunConfig.__dataclass_fields__}
     payload = {k: v for k, v in doc.items() if k not in ("format", "version")}
-    unknown = set(payload) - known
-    if unknown:
-        raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
-    for req in ("roster", "output_dir"):
-        if req not in payload:
-            raise ConfigError(f"{path}: missing required field {req!r}")
-    for field in fields(RunConfig):
-        if field.name in payload:
-            accepts, what = _FIELD_RULES[field.type]
-            value = payload[field.name]
-            if not accepts(value):
-                raise ConfigError(
-                    f"{path}: field {field.name!r} must be {what}, got {value!r}")
+    _check_fields(path, payload, {f.name: f.type for f in fields(RunConfig)},
+                  ("roster", "output_dir"))
+    for name, (annotations, required) in _NESTED_FIELDS.items():
+        if payload.get(name) is not None:
+            _check_fields(path, payload[name], annotations, required, f"{name}.")
     cfg = RunConfig(**payload)
     if (cfg.tracks is None) == (cfg.synth is None):
         raise ConfigError(
@@ -122,8 +130,6 @@ def load_run_config(path) -> RunConfig:
 def _build_scene(cfg: RunConfig):
     """Returns (map_graph, seed_scene, recorded_case_frames_or_None)."""
     if cfg.synth is not None:
-        if "template" not in cfg.synth:
-            raise ConfigError("synth: missing 'template'")
         graph, seed = scene_io.synth_scene(
             cfg.synth["template"],
             dict(cfg.synth.get("params") or {}, history_len=cfg.history_len),
@@ -131,8 +137,6 @@ def _build_scene(cfg: RunConfig):
         return graph, seed, None
     graph = load_map(cfg.map)
     tr = cfg.tracks
-    if "path" not in tr:
-        raise ConfigError("tracks: missing 'path'")
     dataset = scene_io.load_tracks(tr["path"])
     case_id = tr.get("case_id", dataset.cases[0].case_id)
     try:
@@ -209,9 +213,9 @@ def _run_simulation(args, mode) -> int:
         cfg.rng_seed = args.rng_seed
     if args.output_dir is not None:
         cfg.output_dir = args.output_dir
+    sim_cfg = cfg.sim_config()
     graph, seed, recorded = _build_scene(cfg)
     roster = load_roster(cfg.roster)
-    sim_cfg = cfg.sim_config()
     engine = metrics.MetricEngine(
         graph, pttc_decel=cfg.pttc_decel, wttc_accel=cfg.wttc_accel,
         route_horizon=cfg.route_horizon,
@@ -377,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", type=float, default=analysis.DEFAULT_BANDWIDTH)
     p.add_argument("--sizes", type=_parse_sizes, default=None,
                    help="comma-separated subset sizes for the convergence study")
-    p.add_argument("--resamples", type=int, default=20)
+    p.add_argument("--resamples", type=int, default=analysis.DEFAULT_RESAMPLES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ground-truth", nargs="*", default=[],
                    help="ground-truth fingerprint tables, aligned with TABLES")

@@ -59,24 +59,24 @@ class Polyline:
         pts = [(float(x), float(y)) for x, y in points]
         if len(pts) < 2:
             raise GeometryError("polyline needs at least two points")
-        xs = [pts[0][0]]
-        ys = [pts[0][1]]
+        xs = [x for x, _ in pts]
+        ys = [y for _, y in pts]
         cum = [0.0]
-        for x, y in pts[1:]:
-            seg = math.hypot(x - xs[-1], y - ys[-1])
-            if seg <= 0.0:
-                raise GeometryError("degenerate zero-length segment in polyline")
-            xs.append(x)
-            ys.append(y)
-            cum.append(cum[-1] + seg)
+        for i in range(len(pts) - 1):
+            cum.append(cum[-1] + math.hypot(xs[i + 1] - xs[i], ys[i + 1] - ys[i]))
         self.xs = xs
         self.ys = ys
         self.cum = cum
         segments = []
         for i in range(len(cum) - 1):
             seg = cum[i + 1] - cum[i]
+            seg2 = seg * seg
+            # `project` divides by seg2, `point_at` and the lateral by seg
+            if not 0.0 < seg2 < math.inf:
+                raise GeometryError(
+                    f"segment {i}: station step {seg!r} has no finite, non-zero square")
             segments.append((xs[i], ys[i], xs[i + 1] - xs[i], ys[i + 1] - ys[i],
-                             seg, seg * seg, cum[i]))
+                             seg, seg2, cum[i]))
         self._segments = tuple(segments)
 
     @property

@@ -17,6 +17,7 @@ emits this format).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import yaml
@@ -50,22 +51,6 @@ class Path:
     def __init__(self, polyline, source_route=()):
         self.polyline = polyline
         self.source_route = tuple(source_route)
-
-    def project(self, x, y):
-        if self.polyline is None:
-            raise GeometryError("cannot project onto a zero-length path")
-        station, lateral, _ = self.polyline.project(x, y)
-        return station, lateral
-
-    def point_at(self, station, extrapolate=True):
-        if self.polyline is None:
-            raise GeometryError("zero-length path has no points")
-        return self.polyline.point_at(station, extrapolate=extrapolate)
-
-    def tangent_at(self, station):
-        if self.polyline is None:
-            raise GeometryError("zero-length path has no tangent")
-        return self.polyline.tangent_at(station)
 
 
 # the one path of every pose on a seed without a map
@@ -141,13 +126,20 @@ def _lane_from_record(rec, index):
         points = rec["points"]
     except KeyError as exc:
         raise MapFormatError(f"lanes[{index}]: missing field {exc.args[0]!r}") from None
-    width = float(rec.get("width", DEFAULT_LANE_WIDTH))
-    successors = tuple(str(s) for s in rec.get("successors", []))
+    width = rec.get("width", DEFAULT_LANE_WIDTH)
+    if (isinstance(width, bool) or not isinstance(width, (int, float))
+            or not 0 < width <= sys.float_info.max):
+        raise MapFormatError(
+            f"lane {lane_id!r}: width must be a finite number > 0, got {width!r}")
+    successors = rec.get("successors", [])
+    if not isinstance(successors, list):
+        raise MapFormatError(
+            f"lane {lane_id!r}: successors must be a list, got {successors!r}")
     try:
         polyline = Polyline(points)
-    except (GeometryError, TypeError, ValueError) as exc:
+    except (GeometryError, TypeError, ValueError, OverflowError) as exc:
         raise MapFormatError(f"lane {lane_id!r}: bad centerline: {exc}") from exc
-    return Lane(lane_id, polyline, width, successors)
+    return Lane(lane_id, polyline, float(width), tuple(str(s) for s in successors))
 
 
 def load_map(path) -> MapGraph:

@@ -136,7 +136,6 @@ class ScenarioLog:
     seed: SeedScene
     assignment: object
     frames: tuple
-    run_seed: int
 
     @cached_property
     def digest(self) -> bytes:
@@ -314,9 +313,16 @@ def synth_scene(template, params=None):
     Templates: car_following (straight lane, N vehicles at given gaps and
     speeds), merge (ramp joining a main road), crossing (perpendicular lanes
     through a shared conflict point). Histories are back-extrapolated at
-    constant velocity; yaw equals the path tangent.
+    constant velocity; yaw equals the path tangent. A parameter of the wrong
+    type or size (e.g. `n_vehicles: null` or `.inf`) is a SynthParamError.
     """
-    params = dict(params or {})
+    try:
+        return _synth_scene(template, dict(params or {}))
+    except (TypeError, OverflowError) as exc:
+        raise SynthParamError(f"template {template!r}: bad parameter: {exc}") from exc
+
+
+def _synth_scene(template, params):
     history_len = int(params.pop("history_len", DEFAULT_HISTORY_LEN))
     length = float(params.pop("vehicle_length", DEFAULT_VEHICLE_LENGTH))
     width = float(params.pop("vehicle_width", DEFAULT_VEHICLE_WIDTH))

@@ -16,7 +16,14 @@ from dataclasses import dataclass
 from .behavior import WorldView, plan_path_follow, plan_replay, resolve_spec
 from .errors import ChildRunError, EnumerationCapError, ScenexError
 from .map_model import DEFAULT_ROUTE_HORIZON, match_seed_lane, path_for_pose
-from .scene_io import FRAME_PERIOD_MS, SceneFrame, ScenarioLog, SeedScene, states_key
+from .scene_io import (
+    DEFAULT_HISTORY_LEN,
+    FRAME_PERIOD_MS,
+    SceneFrame,
+    ScenarioLog,
+    SeedScene,
+    states_key,
+)
 
 DEFAULT_N_RUNS = 385
 DEFAULT_ENUMERATION_CAP = 1_000_000
@@ -27,7 +34,7 @@ class SimConfig:
     horizon_steps: int = 30
     replan_interval: int = 5
     rng_seed: int = 0
-    history_len: int = 10
+    history_len: int = DEFAULT_HISTORY_LEN
     route_horizon: float = DEFAULT_ROUTE_HORIZON
 
     def __post_init__(self):
@@ -90,7 +97,7 @@ def enumerate_assignments(seed: SeedScene, roster, cap=DEFAULT_ENUMERATION_CAP):
     """Mixed-radix enumeration over participants sorted by track id."""
     ids = seed.track_ids
     base = len(roster)
-    total = base ** len(ids)
+    total = enumeration_count(seed, roster)
     if total > cap:
         raise EnumerationCapError(
             f"{total} assignments exceed the cap of {cap}; "
@@ -182,7 +189,7 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
         )
         history.append(frame)
         out.append(frame)
-    return ScenarioLog(seed, assignment, tuple(out), assignment.run_seed)
+    return ScenarioLog(seed, assignment, tuple(out))
 
 
 @dataclass(frozen=True)
@@ -276,7 +283,7 @@ def run_batch(seed: SeedScene, roster, n_runs=DEFAULT_N_RUNS,
     tasks = [
         (i, assign_models(seed, roster, cfg.rng_seed ^ i)) for i in range(n_runs)
     ]
-    return BatchResult(_execute(seed, cfg, recorded, tasks, jobs).children)
+    return _execute(seed, cfg, recorded, tasks, jobs)
 
 
 def run_enumerated(seed: SeedScene, roster, cfg: SimConfig = SimConfig(),

@@ -248,7 +248,7 @@ def test_05_metric_root_and_aggregation_oracles():
                 for t in (1, 2, 3)))
             for k in range(8)
         )
-        log = ScenarioLog(seed, None, frames, 0)
+        log = ScenarioLog(seed, None, frames)
         vector = engine.aggregate(log)
         per_metric = {}
         for frame in frames:

@@ -130,7 +130,7 @@ class TestGroundTruthOverlay:
         seed = extract_seed(case, 9)
         engine = MetricEngine(None)
         vector = ground_truth_overlay(seed, case.frames, SimConfig(), engine)
-        direct = engine.aggregate(ScenarioLog(seed, None, case.frames[10:40], 0))
+        direct = engine.aggregate(ScenarioLog(seed, None, case.frames[10:40]))
         assert vector == direct
 
     def test_short_recording_rejected(self):

@@ -40,7 +40,7 @@ def main_path(straight_map):
 def first_leader(view, path):
     """(leader, net gap) of the view's own vehicle on `path`, or None."""
     me = view.self_state()
-    own_station, _ = path.project(me.x, me.y)
+    own_station, _ = path.polyline.project(me.x, me.y)[:2]
     states = view.current.states
     projections = [path.polyline.project(s.x, s.y) for s in states]
     neighbours = sorted(path_neighbours(view.self_id, states, projections),

@@ -1,12 +1,18 @@
 import csv
 import json
+import math
 import os
+import tempfile
 
 import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scenex.cli import (
     EXIT_IO,
     EXIT_OK,
+    EXIT_SIMULATION,
     EXIT_VALIDATION,
     build_parser,
     load_run_config,
@@ -36,7 +42,8 @@ models:
 
 
 def write_config(tmp_path, roster=ROSTER, **extra):
-    """A synth run config; `extra` adds fields or replaces the defaults."""
+    """A synth run config; `extra` adds fields or replaces the defaults, and
+    None leaves a field out."""
     roster_path = tmp_path / "roster.yaml"
     roster_path.write_text(roster)
     out = tmp_path / "out"
@@ -49,10 +56,28 @@ def write_config(tmp_path, roster=ROSTER, **extra):
     }
     fields.update(extra)
     lines = ["format: scenex-run", "version: 1"]
-    lines += [f"{k}: {v}" for k, v in fields.items()]
+    lines += [f"{k}: {v}" for k, v in fields.items() if v is not None]
     cfg = tmp_path / "run.yaml"
     cfg.write_text("\n".join(lines) + "\n")
     return cfg, out
+
+
+# a dotted field is a key of the `tracks` or `synth` mapping, whose other keys
+# are valid; the run config has no field named in UNKNOWN_FIELDS
+NESTED_BASE = {"tracks": {"path": "tracks.csv"}, "synth": {"template": "car_following"}}
+UNKNOWN_FIELDS = {"kde_bandwidth", "tracks.current_idx"}
+
+
+def config_fields(field, value):
+    """`write_config` fields that set `field` to the YAML text `value`."""
+    parent, _, key = field.partition(".")
+    if not key:
+        return {field: value}
+    mapping = dict(NESTED_BASE[parent], **{key: value})
+    flow = "{" + ", ".join(f"{k}: {v}" for k, v in mapping.items()) + "}"
+    if parent == "tracks":
+        return {"tracks": flow, "map": "map.yaml", "synth": None}
+    return {"synth": flow}
 
 
 def read_bytes_tree(root):
@@ -192,21 +217,31 @@ class TestValidation:
         ("output_dir", "[a, b]"),
         ("map", "7"),
         ("synth", "car_following"),
+        ("tracks.current_index", '"3"'),
+        ("tracks.case_id", "1.5"),
+        ("tracks.path", "7"),
+        ("tracks.current_idx", "3"),
+        ("synth.params", "[1, 2]"),
+        ("synth.template", "[a]"),
     ])
     @pytest.mark.parametrize("command", ["simulate", "enumerate"])
     def test_mistyped_field_rejected_at_load(self, tmp_path, capsys, command,
                                              field, value):
-        cfg, out = write_config(tmp_path, **{field: value})
+        cfg, out = write_config(tmp_path, **config_fields(field, value))
         assert main([command, "--config", str(cfg), "--jobs", "1"]) == EXIT_VALIDATION
-        assert f"field {field!r} must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if field in UNKNOWN_FIELDS:
+            assert f"unknown field(s) [{field!r}]" in err
+        else:
+            assert f"field {field!r} must be" in err
         assert not out.exists()
 
     def test_integer_values_of_float_fields_accepted(self, tmp_path):
         cfg, _ = write_config(tmp_path, route_horizon="150", pttc_decel="3",
-                              kde_bandwidth="0.5", rng_seed="-4")
+                              rng_seed="-4")
         loaded = load_run_config(cfg)
-        assert (loaded.route_horizon, loaded.pttc_decel, loaded.kde_bandwidth,
-                loaded.rng_seed) == (150, 3, 0.5, -4)
+        assert (loaded.route_horizon, loaded.pttc_decel,
+                loaded.rng_seed) == (150, 3, -4)
 
     @pytest.mark.parametrize("entry", [
         "{kind: standard, params: {T: -1.0}}",
@@ -257,6 +292,43 @@ class TestValidation:
         rc = main(["simulate", "--config", str(cfg), "--jobs", "1"])
         assert rc == EXIT_VALIDATION
         assert "tracks.csv:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("successors", 5),
+        ("width", [1]),
+        ("width", math.nan),
+        ("width", "3.5"),
+        ("points", [[0.0, 0.0], [500.0, 0.0], [500.0, 1e-20]]),
+    ], ids=["successors-5", "width-list", "width-nan", "width-string", "points-step-0"])
+    def test_bad_map_lane_rejected_at_load(self, tmp_path, capsys, key, value):
+        cfg, scene, out = tracks_config(tmp_path)
+        doc = yaml.safe_load((scene / "map.yaml").read_text())
+        doc["lanes"][0][key] = value
+        (scene / "map.yaml").write_text(yaml.safe_dump(doc))
+        rc = main(["simulate", "--config", str(cfg), "--jobs", "1"])
+        assert rc == EXIT_VALIDATION
+        assert "lane 'main'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def tracks_config(tmp_path):
+    """A run config on a `synth-scene` car_following map and track file:
+    returns (config path, scene directory, output directory)."""
+    scene = tmp_path / "scene"
+    assert main(["synth-scene", "--template", "car_following",
+                 "--out", str(scene)]) == EXIT_OK
+    (tmp_path / "roster.yaml").write_text(TWO_MODEL_ROSTER)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("\n".join([
+        "format: scenex-run",
+        "version: 1",
+        f"roster: {tmp_path / 'roster.yaml'}",
+        f"output_dir: {tmp_path / 'out'}",
+        f"map: {scene / 'map.yaml'}",
+        f"tracks: {{path: {scene / 'tracks.csv'}}}",
+        "n_runs: 2",
+    ]) + "\n")
+    return cfg, scene, tmp_path / "out"
 
 
 class TestAnalyze:
@@ -330,3 +402,110 @@ class TestSynthSceneCommand:
         out = tmp_path / "scene"
         assert main(["synth-scene", "--template", "merge", "--out", str(out),
                      "--param", "gap=-1"]) == EXIT_VALIDATION
+
+
+# -- fuzz: mutated run configs and maps end in an exit code, never a traceback --
+
+DELETE = "<delete>"
+WRONG_VALUES = (DELETE, None, "x", "", [1, 2], {"a": 1}, True, 0, -1, 2.5,
+                math.nan, math.inf, -math.inf, 1e308, -1e308)
+RUN_FIELDS = (
+    "format", "version", "roster", "output_dir", "map", "tracks", "synth", "n_runs",
+    "replan_interval", "horizon_steps", "rng_seed", "history_len", "pttc_decel",
+    "wttc_accel", "route_horizon", "enumeration_cap", "tracks.path", "tracks.case_id",
+    "tracks.current_index", "synth.template", "synth.params", "synth.params.gap",
+    "synth.params.n_vehicles",
+)
+MAP_FIELDS = (
+    "format", "version", "lanes", "lanes.0", "lanes.0.id", "lanes.0.width",
+    "lanes.0.points", "lanes.0.points.1", "lanes.0.points.1.0", "lanes.0.successors",
+)
+
+
+def item(node, key):
+    """`node[key]` of a mapping, or of a list for a digit key; else None."""
+    if isinstance(node, dict):
+        return node.get(key)
+    if isinstance(node, list) and key.isdigit() and int(key) < len(node):
+        return node[int(key)]
+    return None
+
+
+def edited(doc, edits):
+    """A copy of a YAML document with each (dotted path, value) edit applied;
+    DELETE removes the item, and an edit whose parent is gone is skipped."""
+    doc = json.loads(json.dumps(doc))
+    for path, value in edits:
+        *parents, last = path.split(".")
+        node = doc
+        for key in parents:
+            node = item(node, key)
+        if isinstance(node, list) and item(node, last) is not None:
+            last = int(last)
+        elif not isinstance(node, dict):
+            continue
+        if value == DELETE:
+            node.pop(last, None) if isinstance(node, dict) else node.pop(last)
+        else:
+            node[last] = value
+    return doc
+
+
+def yaml_text(doc, keep=1.0):
+    """The YAML text of a document, truncated to the share `keep`."""
+    text = yaml.safe_dump(doc, sort_keys=False)
+    return text[:int(len(text) * keep)]
+
+
+class TestFuzz:
+    @pytest.fixture(scope="class")
+    def scene(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        cfg, scene, _ = tracks_config(tmp)
+        return (yaml.safe_load(cfg.read_text()),
+                yaml.safe_load((scene / "map.yaml").read_text()))
+
+    @settings(max_examples=60, deadline=None)
+    # examples that ended in a traceback before
+    @example(source="tracks", run_edits=[("history_len", 0)], map_edits=[],
+             cut=None, keep=1.0)
+    @example(source="synth", run_edits=[("synth.params.n_vehicles", math.inf)],
+             map_edits=[], cut=None, keep=1.0)
+    @example(source="synth", run_edits=[("synth.params.n_vehicles", 1e308)],
+             map_edits=[], cut=None, keep=1.0)
+    @example(source="synth", run_edits=[("synth.params.gap", None)], map_edits=[],
+             cut=None, keep=1.0)
+    @example(source="synth", run_edits=[("pttc_decel", 10 ** 400)], map_edits=[],
+             cut=None, keep=1.0)
+    @example(source="tracks", run_edits=[], map_edits=[("lanes.0.width", 10 ** 400)],
+             cut=None, keep=1.0)
+    @example(source="tracks", run_edits=[],
+             map_edits=[("lanes.0.points.1.0", 10 ** 400)], cut=None, keep=1.0)
+    @given(source=st.sampled_from(["tracks", "synth"]),
+           run_edits=st.lists(st.tuples(st.sampled_from(RUN_FIELDS),
+                                        st.sampled_from(WRONG_VALUES)), max_size=3),
+           map_edits=st.lists(st.tuples(st.sampled_from(MAP_FIELDS),
+                                        st.sampled_from(WRONG_VALUES)), max_size=2),
+           cut=st.sampled_from([None, None, None, "run", "map"]),
+           keep=st.floats(0.0, 1.0))
+    def test_simulate_ends_in_an_exit_code(self, scene, source, run_edits, map_edits,
+                                           cut, keep):
+        run, map_doc = scene
+        run = dict(run, output_dir="out", map="map.yaml", horizon_steps=10)
+        if source == "synth":
+            del run["map"], run["tracks"]
+            run["synth"] = {"template": "car_following", "params": {"n_vehicles": 2}}
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            try:
+                with open("run.yaml", "w") as fh:
+                    fh.write(yaml_text(edited(run, run_edits),
+                                       keep if cut == "run" else 1.0))
+                with open("map.yaml", "w") as fh:
+                    fh.write(yaml_text(edited(map_doc, map_edits),
+                                       keep if cut == "map" else 1.0))
+                rc = main(["simulate", "--config", "run.yaml", "--jobs", "1"])
+            finally:
+                os.chdir(cwd)
+        assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_IO, EXIT_SIMULATION)

@@ -28,6 +28,15 @@ def test_polyline_rejects_duplicate_points():
         Polyline([(0, 0), (0, 0), (1, 0)])
 
 
+@pytest.mark.parametrize("points", [
+    [(0, 0), (100, 0), (100, 1e-20)],  # the station step rounds to 0
+    [(0, 0), (1e-170, 0)],  # the step's square underflows to 0
+])
+def test_polyline_rejects_a_step_it_cannot_divide_by(points):
+    with pytest.raises(GeometryError, match="segment .: station step"):
+        Polyline(points)
+
+
 def test_cumulative_stations():
     pl = Polyline([(0, 0), (3, 4), (3, 14)])
     assert pl.cum == [0.0, 5.0, 15.0]

@@ -239,10 +239,10 @@ def test_route_centerline_concatenation_dedupes_junction():
 
 def test_project_onto_path_endpoints(straight_map):
     path = route_centerline(straight_map, ("main",))
-    assert path.project(0.0, 0.0) == pytest.approx((0.0, 0.0))
-    station, lateral = path.project(50.0, -3.0)
+    assert path.polyline.project(0.0, 0.0)[:2] == pytest.approx((0.0, 0.0))
+    station, lateral = path.polyline.project(50.0, -3.0)[:2]
     assert (station, lateral) == pytest.approx((50.0, -3.0))
-    station, _ = path.project(150.0, 0.0)
+    station, _ = path.polyline.project(150.0, 0.0)[:2]
     assert station == pytest.approx(100.0)
 
 
@@ -250,7 +250,7 @@ def test_path_vertices_have_zero_lateral(t_junction_map):
     routes = enumerate_routes(t_junction_map, "A", horizon=500.0)
     path = route_centerline(t_junction_map, select_route(t_junction_map, routes, 1))
     for x, y in path.polyline.points:
-        _, lateral = path.project(x, y)
+        _, lateral = path.polyline.project(x, y)[:2]
         assert abs(lateral) < 1e-9
 
 

@@ -283,7 +283,7 @@ class TestEngine:
         engine = MetricEngine(graph)
         frames = tuple(SceneFrame(100 * (k + 1), seed.current.states)
                        for k in range(30))
-        vector = engine.aggregate(ScenarioLog(seed, None, frames, 0))
+        vector = engine.aggregate(ScenarioLog(seed, None, frames))
         for stats in vector.values():
             assert stats.worst == pytest.approx(stats.mean_of_extrema)
             assert stats.defined_frames == 30
@@ -299,7 +299,7 @@ class TestEngine:
             ))
             for k in range(20)
         )
-        vector = engine.aggregate(ScenarioLog(seed, None, frames, 0))
+        vector = engine.aggregate(ScenarioLog(seed, None, frames))
         for metric, stats in vector.items():
             if metric in MAX_IS_WORST:
                 assert stats.worst >= stats.mean_of_extrema - 1e-12
@@ -319,7 +319,7 @@ class TestEngine:
                 ))
                 for k in range(10)
             )
-            log = ScenarioLog(seed, None, frames, 0)
+            log = ScenarioLog(seed, None, frames)
             vector = engine.aggregate(log)
             # brute force over every (frame, ordered pair, metric) triple
             per_metric = {}
@@ -371,12 +371,12 @@ class TestFingerprintMemo:
                                              pair_context_calls):
         graph, seed = following_scene
         engine = MetricEngine(graph)
-        first = engine.aggregate(ScenarioLog(seed, None, seed.frames, 0))
+        first = engine.aggregate(ScenarioLog(seed, None, seed.frames))
         first.clear()  # a caller's copy; the stored fingerprint is untouched
-        again = engine.aggregate(ScenarioLog(seed, None, seed.frames, 7))
+        again = engine.aggregate(ScenarioLog(seed, None, seed.frames))
         assert len(pair_context_calls) == len(seed.frames)
         assert exact(again) == exact(MetricEngine(graph).aggregate(
-            ScenarioLog(seed, None, seed.frames, 0)))
+            ScenarioLog(seed, None, seed.frames)))
 
     def test_signed_zero_logs_get_their_own_fingerprints(
             self, following_scene, pair_context_calls, tmp_path):
@@ -386,7 +386,7 @@ class TestFingerprintMemo:
             frames = tuple(SceneFrame(100 * (k + 11), (
                 state(1, 20.0 + k, vx=10.0), state(2, 40.0, vx=0.0, vy=vy),
             )) for k in range(30))
-            return ScenarioLog(seed, None, frames, 0)
+            return ScenarioLog(seed, None, frames)
 
         plus, minus = log_with(0.0), log_with(-0.0)
         assert plus.frames == minus.frames  # equal as numbers only
@@ -416,7 +416,7 @@ class TestFingerprintMemo:
             assignment = Assignment(
                 {1: ModelSpec("constant_velocity", route_selector=selector), 2: cv},
                 ("sampled", 0))
-            log = ScenarioLog(seed, assignment, seed.frames, 0)
+            log = ScenarioLog(seed, assignment, seed.frames)
             vector = engine.aggregate(log)
             assert exact(vector) == exact(MetricEngine(t_junction_map).aggregate(log))
             seen.append("inv_ttc" in vector)
@@ -519,7 +519,7 @@ class TestPlugin:
         assert engine.metric_names == DEFAULT_METRICS + ("tq",)
         extrema = engine.frame_extrema(seed.current)
         assert extrema["tq"] == 2.0
-        vector = engine.aggregate(ScenarioLog(seed, None, seed.frames, 0))
+        vector = engine.aggregate(ScenarioLog(seed, None, seed.frames))
         assert vector["tq"].worst == 2.0
         assert engine._max_is_worst("tq") is True
 
