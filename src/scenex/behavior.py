@@ -8,13 +8,12 @@ ModelSpec/Trajectory contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-
-import yaml
+from dataclasses import dataclass, fields, replace
 
 from .errors import ModelError, SchemaError
 from .map_model import Path
 from .scene_io import DT, ParticipantState
+from .schema import check_fields, is_positive_number, read_document
 
 MODEL_KINDS = ("standard", "risky", "constant_velocity", "emergency_brake", "replay")
 IDM_KINDS = ("standard", "risky")
@@ -36,11 +35,6 @@ IDM_PROFILES = {
 }
 
 
-def _require_positive(name, value):
-    if not (math.isfinite(value) and value > 0.0):
-        raise ModelError(f"{name} must be finite and > 0, got {value!r}")
-
-
 @dataclass(frozen=True)
 class IdmParams:
     """IDM parameters; v0 None leaves the target speed to `resolve_spec`."""
@@ -55,8 +49,9 @@ class IdmParams:
     def __post_init__(self):
         for name in ("a_max", "b", "T", "s0", "delta", "v0"):
             value = getattr(self, name)
-            if value is not None:
-                _require_positive(f"IDM parameter {name}", value)
+            if value is not None and not is_positive_number(value):
+                raise ModelError(
+                    f"IDM parameter {name} must be finite and > 0, got {value!r}")
 
 
 def profile_params(kind, v0=None, **overrides) -> IdmParams:
@@ -78,8 +73,10 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ModelError(f"unknown model kind {self.kind!r}")
-        _require_positive("model weight", self.weight)
-        _require_positive("brake_decel", self.brake_decel)
+        for name in ("weight", "brake_decel"):
+            value = getattr(self, name)
+            if not is_positive_number(value):
+                raise ModelError(f"{name} must be finite and > 0, got {value!r}")
         if self.route_selector != "straightest":
             if isinstance(self.route_selector, bool) or not isinstance(
                     self.route_selector, int):
@@ -257,48 +254,34 @@ def plan_replay(view: WorldView, recorded, current_index) -> Trajectory:
     return Trajectory(tuple(states))
 
 
-def _spec_from_record(rec, index):
-    if not isinstance(rec, dict) or "kind" not in rec:
-        raise SchemaError(f"models[{index}]: expected a mapping with a 'kind' field")
-    kind = str(rec["kind"])
-    params = None
+# field annotations of a roster entry and of its IDM `params`
+_ENTRY_FIELDS = {"kind": "str", "params": "dict | None", "route_selector": "str | int",
+                 "brake_decel": "float", "weight": "float"}
+_PARAM_FIELDS = {f.name: f.type for f in fields(IdmParams)}
+
+
+def _spec_from_record(rec, where):
+    check_fields(where, rec, _ENTRY_FIELDS, ("kind",), SchemaError)
     raw = rec.get("params")
+    params = None
     if raw is not None:
-        if kind not in IDM_KINDS:
-            raise SchemaError(f"models[{index}]: params only apply to IDM kinds")
-        if not isinstance(raw, dict):
-            raise SchemaError(f"models[{index}]: params must be a mapping")
-        unknown = set(raw) - {"a_max", "b", "T", "s0", "delta", "v0"}
-        if unknown:
-            raise SchemaError(f"models[{index}]: unknown param(s) {sorted(unknown)}")
+        if rec["kind"] not in IDM_KINDS:
+            raise SchemaError(f"{where}: params only apply to IDM kinds")
+        check_fields(where, raw, _PARAM_FIELDS, (), SchemaError, "params.")
+        v0 = raw.get("v0")
+        params = profile_params(rec["kind"], None if v0 is None else float(v0),
+                                **{k: float(v) for k, v in raw.items() if k != "v0"})
     try:
-        if raw is not None:
-            v0 = raw.get("v0")
-            params = profile_params(kind, None if v0 is None else float(v0),
-                                    **{k: float(v) for k, v in raw.items() if k != "v0"})
-        return ModelSpec(
-            kind=kind,
-            params=params,
-            route_selector=rec.get("route_selector", "straightest"),
-            brake_decel=float(rec.get("brake_decel", EMERGENCY_BRAKE_DECEL)),
-            weight=float(rec.get("weight", 1.0)),
-        )
-    except (ModelError, TypeError, ValueError) as exc:
-        raise SchemaError(f"models[{index}]: {exc}") from exc
+        return ModelSpec(rec["kind"], params, rec.get("route_selector", "straightest"),
+                         float(rec.get("brake_decel", EMERGENCY_BRAKE_DECEL)),
+                         float(rec.get("weight", 1.0)))
+    except ModelError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def load_roster(path):
     """Load a model roster (YAML list of model specs with weights)."""
-    with open(path) as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise SchemaError(f"{path}: not valid YAML: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != "scenex-roster":
-        raise SchemaError(f"{path}: field 'format' must be 'scenex-roster'")
-    if doc.get("version") != 1:
-        raise SchemaError(f"{path}: unsupported roster version")
-    models = doc.get("models")
-    if not isinstance(models, list) or not models:
-        raise SchemaError(f"{path}: field 'models' must be a non-empty list")
-    return [_spec_from_record(rec, i) for i, rec in enumerate(models)]
+    models = read_document(path, "scenex-roster", 1, {"models": "non-empty list"},
+                           ("models",), SchemaError)["models"]
+    return [_spec_from_record(rec, f"{path}: models[{i}]")
+            for i, rec in enumerate(models)]

@@ -13,12 +13,11 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 
-import yaml
-
 from . import analysis, metrics, scene_io, simulator
 from .behavior import load_roster
 from .errors import ConfigError, ScenexError
 from .map_model import load_map, save_map
+from .schema import check_fields, read_document
 
 RUN_FORMAT = "scenex-run"
 RUN_VERSION = 1
@@ -55,24 +54,6 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_positive_number(value) -> bool:
-    """A number > 0 that is finite as a float (nan fails every comparison)."""
-    number = _is_int(value) or isinstance(value, float)
-    return number and 0 < value <= sys.float_info.max
-
-
-# field annotation -> (accepts a value, what the field must be)
-_FIELD_RULES = {
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "str | None": (lambda v: v is None or isinstance(v, str), "a string"),
-    "dict | None": (lambda v: v is None or isinstance(v, dict), "a mapping"),
-    "int": (_is_int, "an integer"),
-    "float": (_is_positive_number, "a finite number > 0"),
-}
 # mapping field of RunConfig -> (its keys' annotations, its required keys)
 _NESTED_FIELDS = {
     "tracks": ({"path": "str", "case_id": "int", "current_index": "int"}, ("path",)),
@@ -80,46 +61,17 @@ _NESTED_FIELDS = {
 }
 
 
-def _check_fields(path, payload, annotations, required, prefix=""):
-    """Raise ConfigError naming the first unknown, missing or mistyped field."""
-    unknown = [f"{prefix}{k}" for k in payload if k not in annotations]
-    if unknown:
-        raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
-    for name in required:
-        if name not in payload:
-            raise ConfigError(f"{path}: missing required field {prefix + name!r}")
-    for name, annotation in annotations.items():
-        if name in payload:
-            accepts, what = _FIELD_RULES[annotation]
-            value = payload[name]
-            if not accepts(value):
-                raise ConfigError(
-                    f"{path}: field {prefix + name!r} must be {what}, got {value!r}")
-
-
 def load_run_config(path) -> RunConfig:
-    with open(path) as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: expected a mapping at top level")
-    if doc.get("format") != RUN_FORMAT:
-        raise ConfigError(f"{path}: field 'format' must be {RUN_FORMAT!r}")
-    if doc.get("version") != RUN_VERSION:
-        raise ConfigError(f"{path}: unsupported config version {doc.get('version')!r}")
-    payload = {k: v for k, v in doc.items() if k not in ("format", "version")}
-    _check_fields(path, payload, {f.name: f.type for f in fields(RunConfig)},
-                  ("roster", "output_dir"))
+    payload = read_document(path, RUN_FORMAT, RUN_VERSION,
+                            {f.name: f.type for f in fields(RunConfig)},
+                            ("roster", "output_dir"), ConfigError)
     for name, (annotations, required) in _NESTED_FIELDS.items():
         if payload.get(name) is not None:
-            _check_fields(path, payload[name], annotations, required, f"{name}.")
+            check_fields(path, payload[name], annotations, required, ConfigError,
+                         f"{name}.")
     cfg = RunConfig(**payload)
     if (cfg.tracks is None) == (cfg.synth is None):
-        raise ConfigError(
-            f"{path}: exactly one of 'tracks' and 'synth' must be present"
-        )
+        raise ConfigError(f"{path}: exactly one of 'tracks' and 'synth' must be present")
     if cfg.tracks is not None and cfg.map is None:
         raise ConfigError(f"{path}: field 'map' is required with a tracks source")
     if cfg.n_runs < 1:
@@ -235,18 +187,20 @@ def _run_simulation(args, mode) -> int:
     return EXIT_OK
 
 
+def _write_rows_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_columns_csv(path, columns) -> None:
     """Write a mapping of column name -> equal-length value lists."""
     names = list(columns)
     n = max((len(v) for v in columns.values()), default=0)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for i in range(n):
-            writer.writerow([
-                repr(float(columns[c][i])) if i < len(columns[c]) else ""
-                for c in names
-            ])
+    _write_rows_csv(path, names, (
+        [repr(float(columns[c][i])) if i < len(columns[c]) else "" for c in names]
+        for i in range(n)))
 
 
 def cmd_analyze(args) -> int:
@@ -307,21 +261,16 @@ def cmd_analyze(args) -> int:
                                         vector[metric].mean_of_extrema])
     _write_columns_csv(os.path.join(args.out, "density.csv"), density_cols)
     _write_columns_csv(os.path.join(args.out, "cumulative.csv"), cumulative_cols)
-    with open(os.path.join(args.out, "thresholds.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["table", "metric", "threshold", "critical_side", "fraction"])
-        writer.writerows(threshold_rows)
+    _write_rows_csv(os.path.join(args.out, "thresholds.csv"),
+                    ["table", "metric", "threshold", "critical_side", "fraction"],
+                    threshold_rows)
     if args.sizes:
-        with open(os.path.join(args.out, "convergence.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["table", "metric", "size", "mean_l1", "std_l1",
-                             "resamples"])
-            writer.writerows(convergence_rows)
+        _write_rows_csv(os.path.join(args.out, "convergence.csv"),
+                        ["table", "metric", "size", "mean_l1", "std_l1", "resamples"],
+                        convergence_rows)
     if gt_rows:
-        with open(os.path.join(args.out, "ground_truth.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["table", "metric", "aggregate", "value"])
-            writer.writerows(gt_rows)
+        _write_rows_csv(os.path.join(args.out, "ground_truth.csv"),
+                        ["table", "metric", "aggregate", "value"], gt_rows)
     return EXIT_OK
 
 

@@ -17,13 +17,13 @@ emits this format).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import yaml
 
 from .errors import GeometryError, MapFormatError, OffMapError, RouteSelectionError
 from .geometry import Polyline, segment_intersection, wrap_angle
+from .schema import check_fields, read_document
 
 MAP_FORMAT = "scenex-map"
 MAP_VERSION = 1
@@ -118,47 +118,27 @@ class MapGraph:
         return path
 
 
-def _lane_from_record(rec, index):
-    if not isinstance(rec, dict):
-        raise MapFormatError(f"lanes[{index}]: expected a mapping")
+_LANE_FIELDS = {"id": "str | int", "points": "list", "width": "float",
+                "successors": "list[str | int]"}
+
+
+def _lane_from_record(path, rec, index):
+    named = isinstance(rec, dict) and "id" in rec
+    where = f"{path}: lane {str(rec['id'])!r}" if named else f"{path}: lanes[{index}]"
+    check_fields(where, rec, _LANE_FIELDS, ("id", "points"), MapFormatError)
     try:
-        lane_id = str(rec["id"])
-        points = rec["points"]
-    except KeyError as exc:
-        raise MapFormatError(f"lanes[{index}]: missing field {exc.args[0]!r}") from None
-    width = rec.get("width", DEFAULT_LANE_WIDTH)
-    if (isinstance(width, bool) or not isinstance(width, (int, float))
-            or not 0 < width <= sys.float_info.max):
-        raise MapFormatError(
-            f"lane {lane_id!r}: width must be a finite number > 0, got {width!r}")
-    successors = rec.get("successors", [])
-    if not isinstance(successors, list):
-        raise MapFormatError(
-            f"lane {lane_id!r}: successors must be a list, got {successors!r}")
-    try:
-        polyline = Polyline(points)
+        polyline = Polyline(rec["points"])
     except (GeometryError, TypeError, ValueError, OverflowError) as exc:
-        raise MapFormatError(f"lane {lane_id!r}: bad centerline: {exc}") from exc
-    return Lane(lane_id, polyline, float(width), tuple(str(s) for s in successors))
+        raise MapFormatError(f"{where}: bad centerline: {exc}") from exc
+    return Lane(str(rec["id"]), polyline, float(rec.get("width", DEFAULT_LANE_WIDTH)),
+                tuple(str(s) for s in rec.get("successors", [])))
 
 
 def load_map(path) -> MapGraph:
     """Load a lane-graph map from the canonical YAML format."""
-    with open(path) as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise MapFormatError(f"{path}: not valid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MapFormatError(f"{path}: expected a mapping at top level")
-    if doc.get("format") != MAP_FORMAT:
-        raise MapFormatError(f"{path}: field 'format' must be {MAP_FORMAT!r}")
-    if doc.get("version") != MAP_VERSION:
-        raise MapFormatError(f"{path}: unsupported map version {doc.get('version')!r}")
-    lanes_rec = doc.get("lanes")
-    if not isinstance(lanes_rec, list) or not lanes_rec:
-        raise MapFormatError(f"{path}: field 'lanes' must be a non-empty list")
-    return MapGraph([_lane_from_record(rec, i) for i, rec in enumerate(lanes_rec)])
+    lanes = read_document(path, MAP_FORMAT, MAP_VERSION, {"lanes": "non-empty list"},
+                          ("lanes",), MapFormatError)["lanes"]
+    return MapGraph([_lane_from_record(path, rec, i) for i, rec in enumerate(lanes)])
 
 
 def save_map(graph: MapGraph, path) -> None:

@@ -14,12 +14,15 @@ import hashlib
 import logging
 import math
 import struct
+import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import InsufficientHistoryError, SchemaError, SynthParamError
 from .geometry import Polyline
 from .map_model import DEFAULT_LANE_WIDTH, Lane, MapGraph
+from .schema import check_fields
 
 log = logging.getLogger(__name__)
 
@@ -219,6 +222,8 @@ def load_tracks(path) -> TrackDataset:
             seen.add(key)
             cases.setdefault(case_id, {}).setdefault(frame_id, (ts, []))[1].append(state)
 
+    if not cases:
+        raise SchemaError(f"{path}: no vehicle rows")
     out = []
     for case_id in sorted(cases):
         frames = []
@@ -264,7 +269,8 @@ def extract_seed(case: Case, current_index, history_len=DEFAULT_HISTORY_LEN,
     The participant set is restricted to tracks present in every selected
     frame; behavior models assume complete histories.
     """
-    if current_index < history_len - 1 or current_index >= len(case.frames):
+    if (history_len < 1 or current_index < history_len - 1
+            or current_index >= len(case.frames)):
         raise InsufficientHistoryError(
             f"case {case.case_id}: insufficient history for current index "
             f"{current_index} (need {history_len} frames)"
@@ -281,12 +287,6 @@ def extract_seed(case: Case, current_index, history_len=DEFAULT_HISTORY_LEN,
         for fr in window
     )
     return SeedScene(map_graph, frames, case.case_id)
-
-
-def _require(params, allowed):
-    unknown = set(params) - set(allowed)
-    if unknown:
-        raise SynthParamError(f"unknown template parameter(s): {sorted(unknown)}")
 
 
 def _history_frames(specs, history_len):
@@ -307,68 +307,74 @@ def _history_frames(specs, history_len):
     return tuple(frames)
 
 
+# template -> parameter -> (annotation, default); every template also takes
+# SHARED_PARAMS. A gap, speed or distance goes through float().
+SHARED_PARAMS = {"history_len": ("int", DEFAULT_HISTORY_LEN),
+                 "vehicle_length": ("float", DEFAULT_VEHICLE_LENGTH),
+                 "vehicle_width": ("float", DEFAULT_VEHICLE_WIDTH)}
+TEMPLATE_PARAMS = {
+    "car_following": {"n_vehicles": ("int", 2), "gap": ("float", 20.0),
+                      "gaps": ("list[float] | None", None), "speed": ("float >= 0", 10.0),
+                      "speeds": ("list[float >= 0] | None", None),
+                      "lane_length": ("float", 500.0)},
+    "merge": {"gap": ("float", 15.0), "distance": ("float", 60.0),
+              "speed_main": ("float >= 0", 10.0), "speed_ramp": ("float >= 0", 10.0)},
+    "crossing": {"distance_a": ("float", 30.0), "distance_b": ("float", 30.0),
+                 "speed_a": ("float >= 0", 10.0), "speed_b": ("float >= 0", 10.0)},
+}
+
+
+def _template_params(template, params, where):
+    """A template's parameters, checked, with the defaults filled in."""
+    if template not in TEMPLATE_PARAMS:
+        raise SynthParamError(f"unknown template {template!r}")
+    table = dict(SHARED_PARAMS, **TEMPLATE_PARAMS[template])
+    check_fields(where, params,
+                 {name: annotation for name, (annotation, _) in table.items()}, (),
+                 SynthParamError, noun="parameter")
+    values = {}
+    for name, (annotation, default) in table.items():
+        value = params.get(name, default)
+        if annotation.startswith("float"):
+            value = float(value)
+        elif value is not None and annotation.startswith("list"):
+            value = [float(v) for v in value]
+        values[name] = value
+    return values
+
+
 def synth_scene(template, params=None):
     """Generate a synthetic (MapGraph, SeedScene) pair for desk-scale runs.
 
     Templates: car_following (straight lane, N vehicles at given gaps and
     speeds), merge (ramp joining a main road), crossing (perpendicular lanes
     through a shared conflict point). Histories are back-extrapolated at
-    constant velocity; yaw equals the path tangent. A parameter of the wrong
-    type or size (e.g. `n_vehicles: null` or `.inf`) is a SynthParamError.
+    constant velocity; yaw equals the path tangent. `TEMPLATE_PARAMS` lists
+    each template's parameters; one that is unknown or of the wrong type
+    (e.g. `n_vehicles: null`) is a SynthParamError naming it.
     """
-    try:
-        return _synth_scene(template, dict(params or {}))
-    except (TypeError, OverflowError) as exc:
-        raise SynthParamError(f"template {template!r}: bad parameter: {exc}") from exc
-
-
-def _synth_scene(template, params):
-    history_len = int(params.pop("history_len", DEFAULT_HISTORY_LEN))
-    length = float(params.pop("vehicle_length", DEFAULT_VEHICLE_LENGTH))
-    width = float(params.pop("vehicle_width", DEFAULT_VEHICLE_WIDTH))
+    where = f"template {template!r}"
+    p = _template_params(template, params or {}, where)
+    history_len = p["history_len"]
+    length, width = p["vehicle_length"], p["vehicle_width"]
 
     if template == "car_following":
-        _require(params, {"n_vehicles", "gap", "gaps", "speed", "speeds", "lane_length"})
-        n = int(params.get("n_vehicles", 2))
-        if n < 1:
-            raise SynthParamError("n_vehicles must be >= 1")
-        gaps = params.get("gaps")
-        if gaps is None:
-            gaps = [float(params.get("gap", 20.0))] * (n - 1)
-        gaps = [float(g) for g in gaps]
-        if len(gaps) != n - 1:
-            raise SynthParamError(f"need {n - 1} gaps for {n} vehicles")
-        if any(g <= 0.0 for g in gaps):
-            raise SynthParamError("gaps must be > 0")
-        speeds = params.get("speeds")
-        if speeds is None:
-            speeds = [float(params.get("speed", 10.0))] * n
-        speeds = [float(v) for v in speeds]
-        if len(speeds) != n or any(v < 0.0 for v in speeds):
-            raise SynthParamError("speeds must be non-negative, one per vehicle")
-        lane_length = float(params.get("lane_length", 500.0))
-        graph = MapGraph([Lane("main", Polyline([(0.0, 0.0), (lane_length, 0.0)]),
+        n = p["n_vehicles"]
+        if not 1 <= n <= sys.maxsize:
+            raise SynthParamError(
+                f"{where}: parameter 'n_vehicles' must be from 1 to {sys.maxsize}")
+        gaps = [p["gap"]] * (n - 1) if p["gaps"] is None else p["gaps"]
+        speeds = [p["speed"]] * n if p["speeds"] is None else p["speeds"]
+        if len(gaps) != n - 1 or len(speeds) != n:
+            raise SynthParamError(
+                f"{where}: need {n - 1} gaps and {n} speeds for {n} vehicles")
+        graph = MapGraph([Lane("main", Polyline([(0.0, 0.0), (p["lane_length"], 0.0)]),
                                DEFAULT_LANE_WIDTH, ())])
-        specs = []
-        x = 60.0
-        for i in range(n):
-            if i > 0:
-                x += gaps[i - 1]
-            specs.append((i + 1, x, 0.0, 0.0, speeds[i], 0.0, length, width))
+        specs = [(i + 1, x, 0.0, 0.0, v, 0.0, length, width)
+                 for i, (x, v) in enumerate(zip(accumulate([60.0, *gaps]), speeds))]
         return graph, SeedScene(graph, _history_frames(specs, history_len), 1)
 
     if template == "merge":
-        _require(params, {"gap", "distance", "speed_main", "speed_ramp"})
-        gap = float(params.get("gap", 15.0))
-        distance = float(params.get("distance", 60.0))
-        v_main = float(params.get("speed_main", 10.0))
-        v_ramp = float(params.get("speed_ramp", 10.0))
-        if gap <= 0.0:
-            raise SynthParamError("merge gap must be > 0")
-        if distance <= 0.0:
-            raise SynthParamError("distance to the merge point must be > 0")
-        if v_main < 0.0 or v_ramp < 0.0:
-            raise SynthParamError("speeds must be non-negative")
         merge_x = 150.0
         main_in = Polyline([(-200.0, 0.0), (merge_x, 0.0)])
         ramp = Polyline([(0.0, -40.0), (merge_x, 0.0)])
@@ -379,41 +385,29 @@ def _synth_scene(template, params):
             Lane("main_out", main_out, DEFAULT_LANE_WIDTH, ()),
         ])
         # main vehicle leads by `gap` meters of arc distance to the merge point
-        x_main = merge_x - distance + gap
+        x_main = merge_x - p["distance"] + p["gap"]
         if x_main >= merge_x:
-            raise SynthParamError("main vehicle would start past the merge point")
-        ramp_station = ramp.length - distance
+            raise SynthParamError(f"{where}: main vehicle would start past the merge point")
+        ramp_station = ramp.length - p["distance"]
         if ramp_station < 0.0:
-            raise SynthParamError("distance exceeds the ramp length")
+            raise SynthParamError(f"{where}: distance exceeds the ramp length")
         rx, ry = ramp.point_at(ramp_station)
         ryaw = ramp.tangent_at(ramp_station)
+        v_ramp = p["speed_ramp"]
         specs = [
-            (1, x_main, 0.0, 0.0, v_main, 0.0, length, width),
+            (1, x_main, 0.0, 0.0, p["speed_main"], 0.0, length, width),
             (2, rx, ry, ryaw, v_ramp * math.cos(ryaw), v_ramp * math.sin(ryaw),
              length, width),
         ]
         return graph, SeedScene(graph, _history_frames(specs, history_len), 1)
 
-    if template == "crossing":
-        _require(params, {"distance_a", "distance_b", "speed_a", "speed_b"})
-        d_a = float(params.get("distance_a", 30.0))
-        d_b = float(params.get("distance_b", 30.0))
-        v_a = float(params.get("speed_a", 10.0))
-        v_b = float(params.get("speed_b", 10.0))
-        if d_a <= 0.0 or d_b <= 0.0:
-            raise SynthParamError("distances to the conflict point must be > 0")
-        if v_a < 0.0 or v_b < 0.0:
-            raise SynthParamError("speeds must be non-negative")
-        graph = MapGraph([
-            Lane("east", Polyline([(-150.0, 0.0), (200.0, 0.0)]),
-                 DEFAULT_LANE_WIDTH, ()),
-            Lane("north", Polyline([(0.0, -150.0), (0.0, 200.0)]),
-                 DEFAULT_LANE_WIDTH, ()),
-        ])
-        specs = [
-            (1, -d_a, 0.0, 0.0, v_a, 0.0, length, width),
-            (2, 0.0, -d_b, math.pi / 2, 0.0, v_b, length, width),
-        ]
-        return graph, SeedScene(graph, _history_frames(specs, history_len), 1)
-
-    raise SynthParamError(f"unknown template {template!r}")
+    # crossing
+    graph = MapGraph([
+        Lane("east", Polyline([(-150.0, 0.0), (200.0, 0.0)]), DEFAULT_LANE_WIDTH, ()),
+        Lane("north", Polyline([(0.0, -150.0), (0.0, 200.0)]), DEFAULT_LANE_WIDTH, ()),
+    ])
+    specs = [
+        (1, -p["distance_a"], 0.0, 0.0, p["speed_a"], 0.0, length, width),
+        (2, 0.0, -p["distance_b"], math.pi / 2, 0.0, p["speed_b"], length, width),
+    ]
+    return graph, SeedScene(graph, _history_frames(specs, history_len), 1)

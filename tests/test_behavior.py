@@ -352,6 +352,34 @@ class TestRoster:
         with pytest.raises(SchemaError, match=r"models\[1\]"):
             load_roster(p)
 
+    @pytest.mark.parametrize("text, key", [
+        ("models:\n  - {kind: standard, wieght: 2.0}\n", "wieght"),
+        ("models:\n  - {kind: emergency_brake, brake_decl: 9.0}\n", "brake_decl"),
+        ("models:\n  - {kind: standard, route_selecter: 1}\n", "route_selecter"),
+        ("models:\n  - {kind: standard, weight: true}\n", "weight"),
+        ("models:\n  - {kind: standard, params: {T: true}}\n", "params.T"),
+        ("models:\n  - {kind: standard, params: {T: '2.1'}}\n", "params.T"),
+        ("models:\n  - {kind: standard}\nweights: [2.0]\n", "weights"),
+    ], ids=["wieght", "brake_decl", "route_selecter", "weight-true", "T-true",
+            "T-string", "top-level-key"])
+    def test_misspelled_or_mistyped_key_rejected(self, tmp_path, text, key):
+        p = tmp_path / "roster.yaml"
+        p.write_text("format: scenex-roster\nversion: 1\n" + text)
+        with pytest.raises(SchemaError, match=f"roster.yaml: .*'{key}'"):
+            load_roster(p)
+
+    def test_numbers_load_as_floats(self, tmp_path):
+        p = tmp_path / "roster.yaml"
+        p.write_text("format: scenex-roster\nversion: 1\nmodels:\n"
+                     "  - {kind: risky, params: {T: 2, v0: 12}, weight: 2}\n"
+                     "  - {kind: emergency_brake, brake_decel: 6, route_selector: 1}\n")
+        risky, brake = load_roster(p)
+        assert risky == ModelSpec("risky", profile_params("risky", 12.0, T=2.0),
+                                  weight=2.0)
+        assert brake == ModelSpec("emergency_brake", route_selector=1, brake_decel=6.0)
+        assert all(type(v) is float for v in (risky.params.T, risky.params.v0,
+                                              risky.weight, brake.brake_decel))
+
     def test_v0_may_be_absent(self, tmp_path):
         p = tmp_path / "roster.yaml"
         p.write_text("format: scenex-roster\nversion: 1\nmodels:\n"

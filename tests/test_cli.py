@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -20,7 +22,7 @@ from scenex.cli import (
 )
 from scenex.map_model import load_map
 from scenex.metrics import read_metric_table
-from scenex.scene_io import load_tracks
+from scenex.scene_io import TRACK_COLUMNS, load_tracks
 
 ROSTER = """\
 format: scenex-roster
@@ -310,6 +312,66 @@ class TestValidation:
         assert "lane 'main'" in capsys.readouterr().err
         assert not out.exists()
 
+    # each of these loaded as if the key were absent or well-typed, until every
+    # document went through the one field checker
+    @pytest.mark.parametrize("roster_tail, key", [
+        ("  - {kind: standard, wieght: 2.0}\n", "wieght"),
+        ("  - {kind: emergency_brake, brake_decl: 9.0}\n", "brake_decl"),
+        ("  - {kind: standard, route_selecter: 1}\n", "route_selecter"),
+        ("  - {kind: standard, weight: true}\n", "weight"),
+        ("  - {kind: standard, params: {T: true}}\n", "params.T"),
+        ("  - {kind: standard, params: {T: '2.1'}}\n", "params.T"),
+        ("  - {kind: standard}\nmodel: [{kind: risky}]\n", "model"),
+    ], ids=["wieght", "brake_decl", "route_selecter", "weight-true", "T-true",
+            "T-string", "top-level-key"])
+    def test_misspelled_or_mistyped_roster_key(self, tmp_path, capsys, roster_tail,
+                                               key):
+        roster = ("format: scenex-roster\nversion: 1\nmodels:\n"
+                  "  - {kind: constant_velocity}\n" + roster_tail)
+        cfg, out = write_config(tmp_path, roster=roster)
+        assert main(["simulate", "--config", str(cfg), "--jobs", "1"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "roster.yaml: " in err and repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("param, key", [
+        ("n_vehicles: 2.5", "n_vehicles"),
+        ("n_vehicles: true", "n_vehicles"),
+        ("n_vehicles: null", "n_vehicles"),
+        ("speeds: '12'", "speeds"),
+        ("n_vehicles: 2, gap: '20'", "gap"),
+        ("n_vehicles: 2, spead: 3.0", "spead"),
+    ])
+    def test_mistyped_synth_param(self, tmp_path, capsys, param, key):
+        cfg, out = write_config(
+            tmp_path, synth=f"{{template: car_following, params: {{{param}}}}}")
+        assert main(["simulate", "--config", str(cfg), "--jobs", "1"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "template 'car_following': " in err and repr(key) in err
+        assert not out.exists()
+
+    def test_misspelled_map_key(self, tmp_path, capsys):
+        cfg, scene, out = tracks_config(tmp_path)
+        doc = yaml.safe_load((scene / "map.yaml").read_text())
+        doc["lanes"][0]["sucessors"] = doc["lanes"][0].pop("successors")
+        (scene / "map.yaml").write_text(yaml.safe_dump(doc))
+        assert main(["simulate", "--config", str(cfg), "--jobs", "1"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "map.yaml: lane 'main': unknown field(s) ['sucessors']" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows", [
+        "",
+        "1,1,1,100,pedestrian,0.0,0.0,1.0,0.0,0.0,0.5,0.5\n",
+    ], ids=["header-only", "pedestrians-only"])
+    def test_track_file_without_vehicles(self, tmp_path, capsys, rows):
+        cfg, scene, out = tracks_config(tmp_path)
+        (scene / "tracks.csv").write_text(",".join(TRACK_COLUMNS) + "\n" + rows)
+        assert main(["simulate", "--config", str(cfg), "--jobs", "1"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "tracks.csv: no vehicle rows" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 def tracks_config(tmp_path):
     """A run config on a `synth-scene` car_following map and track file:
@@ -457,13 +519,63 @@ def yaml_text(doc, keep=1.0):
     return text[:int(len(text) * keep)]
 
 
+def csv_text(text, edits, rows=None):
+    """A track CSV with each edit applied to every line ("drop" or "dup" a
+    column) or to one cell ("cell", line, column, text), and only its first
+    `rows` data lines kept unless `rows` is None."""
+    lines = [line.split(",") for line in text.splitlines()]
+    if rows is not None:
+        lines = lines[:1 + rows]
+    for op, *args in edits:
+        if op == "cell":
+            line, column, cell = args
+            fields = lines[line % len(lines)]
+            if fields:
+                fields[column % len(fields)] = cell
+            continue
+        for fields in lines:
+            if args[0] >= len(fields):
+                continue
+            if op == "dup":
+                fields.insert(args[0], fields[args[0]])
+            else:
+                del fields[args[0]]
+    return "".join(",".join(fields) + "\n" for fields in lines)
+
+
+def simulate_quietly():
+    """`scenex simulate` on run.yaml: (exit code, what it wrote to stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["simulate", "--config", "run.yaml", "--jobs", "1"])
+    return rc, err.getvalue()
+
+
+EXIT_CODES = (EXIT_OK, EXIT_VALIDATION, EXIT_IO, EXIT_SIMULATION)
+FUZZ_ROSTER = {"format": "scenex-roster", "version": 1, "models": [
+    {"kind": "standard", "params": {"T": 2.0}, "route_selector": "straightest"},
+    {"kind": "emergency_brake", "brake_decel": 5.0, "weight": 2.0},
+]}
+# the roster's fields, and misspellings of them
+ROSTER_FIELDS = (
+    "format", "version", "models", "models.0", "models.0.kind", "models.0.params",
+    "models.0.params.T", "models.0.params.v0", "models.0.route_selector",
+    "models.0.weight", "models.1.kind", "models.1.brake_decel", "models.1.weight",
+    "modles", "models.0.wieght", "models.0.parms", "models.0.params.tau",
+    "models.0.route_selecter", "models.1.brake_decl",
+)
+ROSTER_VALUES = WRONG_VALUES + ("2.1", "standard", "replay", "straightest", 1, 2.0)
+CELL_TEXTS = ("", "abc", "1.5", "-", "nan", "1e999", "car", "pedestrian", "10**9")
+
+
 class TestFuzz:
     @pytest.fixture(scope="class")
     def scene(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("fuzz")
         cfg, scene, _ = tracks_config(tmp)
         return (yaml.safe_load(cfg.read_text()),
-                yaml.safe_load((scene / "map.yaml").read_text()))
+                yaml.safe_load((scene / "map.yaml").read_text()),
+                (scene / "tracks.csv").read_text())
 
     @settings(max_examples=60, deadline=None)
     # examples that ended in a traceback before
@@ -490,7 +602,7 @@ class TestFuzz:
            keep=st.floats(0.0, 1.0))
     def test_simulate_ends_in_an_exit_code(self, scene, source, run_edits, map_edits,
                                            cut, keep):
-        run, map_doc = scene
+        run, map_doc, _ = scene
         run = dict(run, output_dir="out", map="map.yaml", horizon_steps=10)
         if source == "synth":
             del run["map"], run["tracks"]
@@ -505,7 +617,51 @@ class TestFuzz:
                 with open("map.yaml", "w") as fh:
                     fh.write(yaml_text(edited(map_doc, map_edits),
                                        keep if cut == "map" else 1.0))
-                rc = main(["simulate", "--config", "run.yaml", "--jobs", "1"])
+                rc, err = simulate_quietly()
             finally:
                 os.chdir(cwd)
-        assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_IO, EXIT_SIMULATION)
+        assert rc in EXIT_CODES and "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    # the misspelled and mistyped roster keys that loaded before as defaults
+    @example(roster_edits=[("models.0.wieght", 2.0)], csv_edits=[], rows=None)
+    @example(roster_edits=[("models.1.brake_decl", 9.0)], csv_edits=[], rows=None)
+    @example(roster_edits=[("models.0.route_selecter", 1)], csv_edits=[], rows=None)
+    @example(roster_edits=[("modles", [])], csv_edits=[], rows=None)
+    @example(roster_edits=[("models.0.weight", True)], csv_edits=[], rows=None)
+    @example(roster_edits=[("models.0.params.T", True)], csv_edits=[], rows=None)
+    @example(roster_edits=[("models.0.params.T", "2.1")], csv_edits=[], rows=None)
+    # track files that ended in an IndexError traceback, and bad columns and cells
+    @example(roster_edits=[], csv_edits=[], rows=0)
+    @example(roster_edits=[], csv_edits=[("cell", 1, 4, "pedestrian")], rows=1)
+    @example(roster_edits=[], csv_edits=[("drop", 9)], rows=None)
+    @example(roster_edits=[], csv_edits=[("dup", 1)], rows=None)
+    @example(roster_edits=[], csv_edits=[("cell", 3, 5, "abc")], rows=None)
+    @given(roster_edits=st.lists(st.tuples(st.sampled_from(ROSTER_FIELDS),
+                                           st.sampled_from(ROSTER_VALUES)), max_size=3),
+           csv_edits=st.lists(st.one_of(
+               st.tuples(st.sampled_from(["drop", "dup"]), st.integers(0, 11)),
+               st.tuples(st.just("cell"), st.integers(0, 30), st.integers(0, 11),
+                         st.sampled_from(CELL_TEXTS))), max_size=3),
+           rows=st.sampled_from([None, None, None, 0, 1]))
+    def test_roster_and_tracks_end_in_an_exit_code(self, scene, roster_edits,
+                                                   csv_edits, rows):
+        run, map_doc, tracks = scene
+        run = dict(run, output_dir="out", map="map.yaml", roster="roster.yaml",
+                   horizon_steps=10)
+        run["tracks"] = dict(run["tracks"], path="tracks.csv")
+        cwd = os.getcwd()
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            try:
+                for name, text in (("run.yaml", yaml_text(run)),
+                                   ("map.yaml", yaml_text(map_doc)),
+                                   ("roster.yaml",
+                                    yaml_text(edited(FUZZ_ROSTER, roster_edits))),
+                                   ("tracks.csv", csv_text(tracks, csv_edits, rows))):
+                    with open(name, "w") as fh:
+                        fh.write(text)
+                rc, err = simulate_quietly()
+            finally:
+                os.chdir(cwd)
+        assert rc in EXIT_CODES and "Traceback" not in err

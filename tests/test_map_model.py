@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -79,6 +80,34 @@ def test_load_map_bad_header(tmp_path):
     p.write_text("format: something-else\nversion: 1\nlanes: []\n")
     with pytest.raises(MapFormatError, match="format"):
         load_map(p)
+
+
+@pytest.mark.parametrize("lane, message", [
+    ("{id: A, points: [[0, 0], [50, 0]], sucessors: [A]}",
+     "lane 'A': unknown field(s) ['sucessors']"),
+    ("{id: A, points: [[0, 0], [50, 0]], width: '3.5'}", "lane 'A': field 'width'"),
+    ("{id: A, points: [[0, 0], [50, 0]], successors: [[B]]}",
+     "lane 'A': field 'successors'"),
+    ("{id: [A], points: [[0, 0], [50, 0]]}", "lane \"['A']\": field 'id'"),
+    ("{points: [[0, 0], [50, 0]]}", "lanes[0]: missing required field 'id'"),
+    ("7", "lanes[0]: expected a mapping"),
+], ids=["sucessors", "width-string", "successor-list", "id-list", "no-id", "not-a-mapping"])
+def test_load_map_checks_lane_fields(tmp_path, lane, message):
+    p = tmp_path / "map.yaml"
+    p.write_text(f"format: scenex-map\nversion: 1\nlanes:\n  - {lane}\n")
+    with pytest.raises(MapFormatError, match=re.escape("map.yaml: " + message)):
+        load_map(p)
+
+
+def test_load_map_ids_are_strings(tmp_path):
+    p = tmp_path / "map.yaml"
+    p.write_text("format: scenex-map\nversion: 1\nlanes:\n"
+                 "  - {id: 7, points: [[0, 0], [50, 0]], successors: [8], width: 3}\n"
+                 "  - {id: 8, points: [[50, 0], [90, 0]]}\n")
+    graph = load_map(p)
+    assert graph.lane_ids == ["7", "8"]
+    assert graph.lane("7").successors == ("8",)
+    assert type(graph.lane("7").width) is float
 
 
 def test_save_load_round_trip(tmp_path, t_junction_map):

@@ -93,6 +93,17 @@ class TestLoadTracks:
         with pytest.raises(SchemaError, match=r"tracks\.csv:2: .*non-finite"):
             load_tracks(p)
 
+    @pytest.mark.parametrize("rows", [
+        [],
+        ["1,2,1,100,pedestrian,5.0,0.0,1.0,0.0,0.0,0.5,0.5",
+         "1,3,1,100,bicycle,9.0,0.0,1.0,0.0,0.0,1.5,0.5"],
+    ], ids=["header-only", "no-vehicles"])
+    def test_file_without_vehicle_rows_rejected(self, tmp_path, rows):
+        p = tmp_path / "tracks.csv"
+        p.write_text("\n".join([",".join(TRACK_COLUMNS), *rows]) + "\n")
+        with pytest.raises(SchemaError, match=r"tracks\.csv: no vehicle rows"):
+            load_tracks(p)
+
     def test_nonvehicle_rows_dropped_and_counted(self, tmp_path):
         p = tmp_path / "tracks.csv"
         rows = [
@@ -161,6 +172,11 @@ class TestExtractSeed:
         with pytest.raises(InsufficientHistoryError):
             extract_seed(make_case(), 3)
 
+    @pytest.mark.parametrize("current, history_len", [(-1, 0), (5, 0), (5, -3)])
+    def test_history_below_one_rejected(self, current, history_len):
+        with pytest.raises(InsufficientHistoryError, match="need"):
+            extract_seed(make_case(), current, history_len)
+
     def test_empty_intersection(self):
         # track 1 only in early frames, track 2 only in late frames
         early = tuple(SceneFrame(100 * (f + 1), (ParticipantState(
@@ -225,6 +241,33 @@ class TestSynthScene:
     def test_negative_speed_rejected(self):
         with pytest.raises(SynthParamError):
             synth_scene("car_following", {"speed": -1.0})
+
+    @pytest.mark.parametrize("template, params, key", [
+        ("car_following", {"n_vehicles": 2.5}, "n_vehicles"),
+        ("car_following", {"n_vehicles": True}, "n_vehicles"),
+        ("car_following", {"n_vehicles": None}, "n_vehicles"),
+        ("car_following", {"speeds": "12"}, "speeds"),
+        ("car_following", {"gaps": [10.0, "5"], "n_vehicles": 3}, "gaps"),
+        ("car_following", {"n_vehicles": 10 ** 400}, "n_vehicles"),
+        ("merge", {"gap": "15"}, "gap"),
+        ("merge", {"speed_main": -1.0}, "speed_main"),
+        ("crossing", {"distance_a": float("inf")}, "distance_a"),
+        ("crossing", {"vehicle_width": 0}, "vehicle_width"),
+        ("crossing", {"gap": 10.0}, "gap"),
+    ])
+    def test_bad_parameter_named(self, template, params, key):
+        with pytest.raises(SynthParamError,
+                           match=f"template '{template}': .*parameter.*'{key}'"):
+            synth_scene(template, params)
+
+    def test_integer_parameters_load_as_floats(self):
+        as_ints = synth_scene("car_following", {"n_vehicles": 3, "gaps": [20, 15],
+                                                "speed": 10, "vehicle_length": 4})
+        as_floats = synth_scene("car_following", {
+            "n_vehicles": 3, "gaps": [20.0, 15.0], "speed": 10.0, "vehicle_length": 4.0})
+        assert as_ints[1].frames == as_floats[1].frames
+        assert all(type(v) is float for s in as_ints[1].current.states
+                   for v in (s.x, s.vx, s.length))
 
     def test_unknown_template(self):
         with pytest.raises(SynthParamError):
