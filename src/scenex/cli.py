@@ -17,7 +17,7 @@ from . import analysis, metrics, scene_io, simulator
 from .behavior import load_roster
 from .errors import ConfigError, ScenexError
 from .map_model import load_map, save_map
-from .schema import check_fields, read_document
+from .schema import check_fields, is_positive_number, read_document
 
 RUN_FORMAT = "scenex-run"
 RUN_VERSION = 1
@@ -165,6 +165,9 @@ def _run_simulation(args, mode) -> int:
         cfg.rng_seed = args.rng_seed
     if args.output_dir is not None:
         cfg.output_dir = args.output_dir
+    if mode == "simulate" and cfg.n_runs > cfg.enumeration_cap:
+        raise ConfigError(f"n_runs must be <= enumeration_cap ({cfg.enumeration_cap}), "
+                          f"got {cfg.n_runs}")
     sim_cfg = cfg.sim_config()
     graph, seed, recorded = _build_scene(cfg)
     roster = load_roster(cfg.roster)
@@ -204,6 +207,8 @@ def _write_columns_csv(path, columns) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if not is_positive_number(args.bandwidth):
+        raise ConfigError(f"--bandwidth must be a finite number > 0, got {args.bandwidth}")
     if args.resamples < 1:
         raise ConfigError(f"--resamples must be >= 1, got {args.resamples}")
     if args.sizes and min(args.sizes) < 1:

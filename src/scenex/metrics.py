@@ -312,7 +312,11 @@ def write_metric_table(path, rows, metrics=DEFAULT_METRICS) -> None:
 
 
 def read_metric_table(path):
-    """Read a metric table; returns (metric names, rows)."""
+    """Read a metric table; returns (metric names, rows).
+
+    Raises SchemaError, naming the line, for a row whose length differs from
+    the header's, a cell that does not parse, and a non-finite value.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -324,15 +328,33 @@ def read_metric_table(path):
         metrics = []
         for i in range(2, len(header), 3):
             name = header[i]
-            if not name.endswith("_worst"):
+            metric = name[: -len("_worst")]
+            if (not name.endswith("_worst") or header[i + 1: i + 3]
+                    != [f"{metric}_mean", f"{metric}_defined_frames"]):
                 raise SchemaError(f"{path}: unexpected column {name!r}")
-            metrics.append(name[: -len("_worst")])
+            metrics.append(metric)
         rows = []
-        for row in reader:
-            vector = {}
-            for k, m in enumerate(metrics):
-                worst, mean, frames = row[2 + 3 * k: 5 + 3 * k]
-                if worst != "":
-                    vector[m] = MetricStats(float(worst), float(mean), int(frames))
-            rows.append((int(row[0]), int(row[1]), vector))
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise SchemaError(f"{path}:{lineno}: expected {len(header)} fields, "
+                                  f"got {len(row)}")
+            try:
+                vector = {}
+                for k, m in enumerate(metrics):
+                    worst, mean, frames = row[2 + 3 * k: 5 + 3 * k]
+                    if worst != "":
+                        vector[m] = MetricStats(_finite(worst), _finite(mean),
+                                                int(frames))
+                rows.append((int(row[0]), int(row[1]), vector))
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from None
     return metrics, rows
+
+
+def _finite(cell) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {cell!r}")
+    return value

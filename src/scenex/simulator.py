@@ -27,6 +27,9 @@ from .scene_io import (
 
 DEFAULT_N_RUNS = 385
 DEFAULT_ENUMERATION_CAP = 1_000_000
+# upper bound of horizon_steps and history_len: 1000 s of 100 ms frames, far
+# beyond a scenario, low enough that an absurd value fails before allocating
+MAX_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -38,12 +41,12 @@ class SimConfig:
     route_horizon: float = DEFAULT_ROUTE_HORIZON
 
     def __post_init__(self):
-        if self.horizon_steps < 1:
-            raise ValueError("horizon_steps must be >= 1")
+        if not 1 <= self.horizon_steps <= MAX_STEPS:
+            raise ValueError(f"horizon_steps must be in 1..{MAX_STEPS}")
         if not 1 <= self.replan_interval <= self.horizon_steps:
             raise ValueError("replan_interval must be in 1..horizon_steps")
-        if self.history_len < 1:
-            raise ValueError("history_len must be >= 1")
+        if not 1 <= self.history_len <= MAX_STEPS:
+            raise ValueError(f"history_len must be in 1..{MAX_STEPS}")
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,24 @@
-"""Plain reference versions of the projection kernels, for the tests.
+"""Plain reference versions of the projection and density kernels, for the tests.
 
 `project` is the segment loop of `Polyline.project` written out from the
 polyline's vertices and stations, `match_to_lane` projects a pose onto every
 lane of the map, and `pair_contexts` projects every state once per state that
-looks for leaders. The kernels in `scenex` must return the same floats, bit
-for bit.
+looks for leaders. `kde` evaluates one kernel row per sample, and
+`convergence_study` runs it on every resampled subset. The kernels in
+`scenex` must return the same floats, bit for bit.
 """
 import math
 
+import numpy as np
+
+from scenex.analysis import (
+    DEFAULT_BANDWIDTH,
+    DEFAULT_CONVERGENCE_SIZES,
+    DEFAULT_GRID_SIZE,
+    DEFAULT_RESAMPLES,
+    GRID_PAD_BANDWIDTHS,
+    DensityEstimate,
+)
 from scenex.behavior import LEADER_CLEARANCE, leaders_ahead
 from scenex.errors import OffMapError
 from scenex.geometry import wrap_angle
@@ -117,3 +128,57 @@ def bits(value):
     if isinstance(value, tuple):
         return tuple(bits(v) for v in value)
     return value
+
+
+def kde(values, bandwidth=DEFAULT_BANDWIDTH, grid=None,
+        grid_size=DEFAULT_GRID_SIZE, metric="") -> DensityEstimate:
+    """Gaussian kernel density estimate on a uniform grid.
+
+    The default grid spans [min - 5h, max + 5h] with 512 points, which is
+    wide enough for the estimate to integrate to 1 within 1 percent.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size == 0:
+        raise ValueError("kde needs at least one sample")
+    if bandwidth <= 0.0:
+        raise ValueError("bandwidth must be > 0")
+    if grid is None:
+        pad = GRID_PAD_BANDWIDTHS * bandwidth
+        grid = np.linspace(values.min() - pad, values.max() + pad, grid_size)
+    else:
+        grid = np.asarray(grid, dtype=float)
+    z = (grid[None, :] - values[:, None]) / bandwidth
+    density = np.exp(-0.5 * z * z).sum(axis=0)
+    density /= values.size * bandwidth * math.sqrt(2.0 * math.pi)
+    return DensityEstimate(metric, grid, density, bandwidth, int(values.size))
+
+
+def convergence_study(full_values, sizes=DEFAULT_CONVERGENCE_SIZES,
+                      resamples=DEFAULT_RESAMPLES, seed=0, bandwidth=DEFAULT_BANDWIDTH):
+    """L1 distance between subset and full-population densities.
+
+    For each size, `resamples` subsets are drawn without replacement and
+    their KDE compared to the full KDE on the full-data grid. Returns one
+    row per size: dict(size, mean_l1, std_l1, resamples).
+    """
+    full_values = np.asarray(full_values, dtype=float)
+    rng = np.random.default_rng(seed)
+    full = kde(full_values, bandwidth)
+    rows = []
+    for size in sizes:
+        if size > full_values.size:
+            raise ValueError(
+                f"subset size {size} exceeds the population ({full_values.size})"
+            )
+        l1 = np.empty(resamples)
+        for r in range(resamples):
+            subset = rng.choice(full_values, size=size, replace=False)
+            sub = kde(subset, bandwidth, grid=full.grid)
+            l1[r] = np.trapezoid(np.abs(sub.density - full.density), full.grid)
+        rows.append({
+            "size": int(size),
+            "mean_l1": float(l1.mean()),
+            "std_l1": float(l1.std()),
+            "resamples": int(resamples),
+        })
+    return rows

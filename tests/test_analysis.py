@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scenex.analysis import (
     DEFAULT_THRESHOLDS,
@@ -15,6 +17,7 @@ from scenex.analysis import (
 from scenex.metrics import MetricEngine
 from scenex.scene_io import extract_seed
 from scenex.simulator import SimConfig
+from tests import oracles
 
 
 class TestKde:
@@ -44,8 +47,16 @@ class TestKde:
     def test_rejects_empty_and_bad_bandwidth(self):
         with pytest.raises(ValueError):
             kde([])
-        with pytest.raises(ValueError):
-            kde([1.0], bandwidth=0.0)
+        for bandwidth in (0.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="bandwidth"):
+                kde([1.0], bandwidth=bandwidth)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            kde([1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            convergence_study([1.0, bad, 2.0], sizes=(2,), resamples=1)
 
 
 class TestCumulative:
@@ -140,3 +151,47 @@ class TestGroundTruthOverlay:
         seed = extract_seed(case, 9)
         with pytest.raises(ValueError, match="horizon"):
             ground_truth_overlay(seed, case.frames, SimConfig(), MetricEngine(None))
+
+
+# small pools make repeated values, and both zeros, common
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+SAMPLES = st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300]),
+                             FINITE), min_size=1, max_size=60)
+BANDWIDTHS = st.one_of(st.just(0.1), st.floats(1e-3, 1e3))
+
+
+class TestExactAgainstOracle:
+    """`kde` and `convergence_study` compute one kernel row per distinct value;
+    the oracles compute one per sample. The floats must be the same."""
+
+    @settings(max_examples=200, deadline=None)
+    @example(values=[3.0], bandwidth=0.1, grid=None)
+    @example(values=[7.25] * 40, bandwidth=0.1, grid=None)
+    @example(values=[0.0, -0.0, -0.0, 0.0, 1.0], bandwidth=0.1, grid=None)
+    @example(values=[-0.0, 2.0, -0.0], bandwidth=0.5, grid=[-0.0, 0.0, 1.0, 2.0])
+    @given(values=SAMPLES, bandwidth=BANDWIDTHS,
+           grid=st.one_of(st.none(), st.lists(FINITE, min_size=1, max_size=40)))
+    def test_kde_bytes(self, values, bandwidth, grid):
+        got = kde(values, bandwidth, grid=grid, metric="m")
+        want = oracles.kde(values, bandwidth, grid=grid, metric="m")
+        assert got.grid.tobytes() == want.grid.tobytes()
+        assert got.density.tobytes() == want.density.tobytes()
+        assert (got.metric, got.bandwidth, got.n_samples) == (
+            want.metric, want.bandwidth, want.n_samples)
+
+    @settings(max_examples=100, deadline=None)
+    @example(values=[4.0], size_shares=[1.0], resamples=3, seed=0, bandwidth=0.1)
+    @example(values=[1.5] * 12, size_shares=[0.5, 1.0], resamples=2, seed=1,
+             bandwidth=0.1)
+    @example(values=[0.0, -0.0] * 5 + [3.0], size_shares=[0.3, 1.0], resamples=4,
+             seed=2, bandwidth=0.2)
+    @given(values=SAMPLES,
+           size_shares=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+           resamples=st.integers(1, 6), seed=st.integers(0, 2 ** 32),
+           bandwidth=BANDWIDTHS)
+    def test_convergence_rows(self, values, size_shares, resamples, seed, bandwidth):
+        # sizes from 1 up to the whole population
+        sizes = [max(1, round(share * len(values))) for share in size_shares]
+        got = convergence_study(values, sizes, resamples, seed, bandwidth)
+        want = oracles.convergence_study(values, sizes, resamples, seed, bandwidth)
+        assert repr(got) == repr(want)

@@ -11,6 +11,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scenex import analysis
 from scenex.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -21,8 +22,10 @@ from scenex.cli import (
     main,
 )
 from scenex.map_model import load_map
-from scenex.metrics import read_metric_table
+from scenex.metrics import read_metric_table, write_metric_table
 from scenex.scene_io import TRACK_COLUMNS, load_tracks
+from scenex.simulator import MAX_STEPS
+from tests import oracles
 
 ROSTER = """\
 format: scenex-roster
@@ -200,6 +203,24 @@ class TestValidation:
     def test_bad_replan_interval(self, tmp_path):
         cfg, _ = write_config(tmp_path, replan_interval="0")
         assert main(["simulate", "--config", str(cfg)]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("fields, argv, named", [
+        ({"horizon_steps": str(MAX_STEPS + 1)}, [], "horizon_steps"),
+        ({"history_len": str(MAX_STEPS + 1)}, [], "history_len"),
+        ({"enumeration_cap": "9"}, [], "n_runs"),
+        ({"enumeration_cap": "12"}, ["--n-runs", "13"], "n_runs"),
+    ], ids=["horizon_steps", "history_len", "n_runs", "n_runs-override"])
+    def test_integer_field_above_its_bound_rejected_at_load(self, tmp_path, capsys,
+                                                            fields, argv, named):
+        cfg, out = write_config(tmp_path, **fields)
+        assert main(["simulate", "--config", str(cfg), "--jobs", "1"]
+                    + argv) == EXIT_VALIDATION
+        assert f"{named} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_n_runs_equal_to_the_cap_accepted(self, tmp_path):
+        cfg, out = write_config(tmp_path, enumeration_cap="10")
+        assert main(["simulate", "--config", str(cfg), "--jobs", "1"]) == EXIT_OK
 
     @pytest.mark.parametrize("field, value", [
         ("n_runs", "abc"),
@@ -438,6 +459,8 @@ class TestAnalyze:
     @pytest.mark.parametrize("option, value", [
         ("--resamples", "0"), ("--resamples", "-2"),
         ("--sizes", "0,5"), ("--sizes", "2,-5"),
+        ("--bandwidth", "0"), ("--bandwidth", "-0.1"),
+        ("--bandwidth", "nan"), ("--bandwidth", "inf"),
     ])
     def test_non_positive_option_rejected(self, tmp_path, capsys, metrics_table,
                                           option, value):
@@ -448,6 +471,48 @@ class TestAnalyze:
         assert main(argv) == EXIT_VALIDATION
         assert f"{option} must" in capsys.readouterr().err
         assert not out.exists()
+
+    # each case replaces cells[start:stop] of the table's third data row
+    @pytest.mark.parametrize("start, stop, new, message", [
+        (2, 3, ["nan"], "non-finite value 'nan'"),
+        (3, 4, ["-inf"], "non-finite value '-inf'"),
+        (2, 3, ["1e999"], "non-finite value '1e999'"),
+        (2, 3, ["abc"], "could not convert"),
+        (4, 5, ["1.5"], "invalid literal"),
+        (0, 1, [""], "invalid literal"),
+        (3, None, [], "got 3"),
+        (99, 99, ["7"], "fields, got"),
+    ], ids=["nan", "-inf", "overflow", "text", "float-count", "empty-index",
+            "short", "long"])
+    def test_bad_table_cell_rejected(self, tmp_path, capsys, metrics_table, start,
+                                     stop, new, message):
+        lines = metrics_table.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[start:stop] = new
+        lines[3] = ",".join(cells)
+        metrics_table.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "analysis"
+        assert main(["analyze", str(metrics_table), "--out", str(out),
+                     "--sizes", "2"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{metrics_table}:4: " in err and message in err
+        assert "Traceback" not in err
+
+    def test_repeated_rows_match_the_oracle_bytes(self, tmp_path, metrics_table,
+                                                  monkeypatch):
+        names, rows = read_metric_table(metrics_table)
+        table = tmp_path / "repeated.csv"
+        write_metric_table(table, rows * 4 + rows[:3], metrics=names)
+        argv = ["analyze", str(table), "--sizes", "1,5,43", "--resamples", "6",
+                "--bandwidth", "0.05"]
+        assert main(argv + ["--out", str(tmp_path / "exact")]) == EXIT_OK
+        monkeypatch.setattr(analysis, "kde", oracles.kde)
+        monkeypatch.setattr(analysis, "convergence_study", oracles.convergence_study)
+        assert main(argv + ["--out", str(tmp_path / "oracle")]) == EXIT_OK
+        exact = read_bytes_tree(tmp_path / "exact")
+        assert set(exact) == {"density.csv", "cumulative.csv", "thresholds.csv",
+                              "convergence.csv"}
+        assert exact == read_bytes_tree(tmp_path / "oracle")
 
 
 class TestSynthSceneCommand:

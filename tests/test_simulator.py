@@ -16,6 +16,7 @@ from scenex.scene_io import (
     write_log,
 )
 from scenex.simulator import (
+    MAX_STEPS,
     SimConfig,
     assign_models,
     enumerate_assignments,
@@ -62,6 +63,13 @@ class TestSimConfig:
             SimConfig(dt=0.05)  # the frame period is fixed, not a setting
         with pytest.raises(ValueError):
             SimConfig(horizon_steps=0)
+
+    @pytest.mark.parametrize("field", ["horizon_steps", "history_len"])
+    def test_step_counts_bounded(self, field):
+        SimConfig(**{field: MAX_STEPS, "replan_interval": 1})
+        for value in (MAX_STEPS + 1, 10 ** 30):
+            with pytest.raises(ValueError, match=f"{field} must be in 1..{MAX_STEPS}"):
+                SimConfig(**{field: value})
 
 
 class TestAssignModels:
