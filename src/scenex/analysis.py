@@ -33,13 +33,13 @@ class DensityEstimate:
     n_samples: int
 
 
-def kde(values, bandwidth=DEFAULT_BANDWIDTH, grid=None,
-        grid_size=DEFAULT_GRID_SIZE, metric="") -> DensityEstimate:
+def kde(values, bandwidth=DEFAULT_BANDWIDTH, grid=None, metric="") -> DensityEstimate:
     """Gaussian kernel density estimate on a uniform grid.
 
-    The default grid spans [min - 5h, max + 5h] with 512 points, which is
-    wide enough for the estimate to integrate to 1 within 1 percent. The
-    estimate is exact; its cost grows with the number of distinct values.
+    The default grid spans [min - 5h, max + 5h] with `DEFAULT_GRID_SIZE`
+    (512) points, which is wide enough for the estimate to integrate to 1
+    within 1 percent. The estimate is exact; its cost grows with the number
+    of distinct values.
     """
     values = np.asarray(values, dtype=float)
     if values.size == 0:
@@ -50,7 +50,7 @@ def kde(values, bandwidth=DEFAULT_BANDWIDTH, grid=None,
         raise ValueError("kde needs finite samples")
     if grid is None:
         pad = GRID_PAD_BANDWIDTHS * bandwidth
-        grid = np.linspace(values.min() - pad, values.max() + pad, grid_size)
+        grid = np.linspace(values.min() - pad, values.max() + pad, DEFAULT_GRID_SIZE)
     else:
         grid = np.asarray(grid, dtype=float)
     rows, inverse = _kernel_rows(values, grid, bandwidth)
@@ -100,7 +100,6 @@ DEFAULT_THRESHOLDS = {
     "distance": Threshold(5.0, True),
     "wttc": Threshold(0.26, True),
     "inv_ttc": Threshold(1.0 / 1.5, False),
-    "tq": Threshold(1.2, False),
 }
 
 

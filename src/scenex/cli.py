@@ -76,6 +76,9 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: field 'map' is required with a tracks source")
     if cfg.n_runs < 1:
         raise ConfigError(f"{path}: n_runs must be >= 1")
+    if not 1 <= cfg.enumeration_cap <= simulator.MAX_ENUMERATION_CAP:
+        raise ConfigError(f"{path}: enumeration_cap must be in "
+                          f"1..{simulator.MAX_ENUMERATION_CAP}, got {cfg.enumeration_cap}")
     return cfg
 
 
@@ -130,16 +133,14 @@ def _write_outputs(cfg, batch, engine, seed, recorded, mode):
                          model_kind=child.model_kind, error_class=child.error_class)
         children.append(entry)
     metrics.write_metric_table(os.path.join(out, "metrics.csv"),
-                               _metric_rows(engine, batch),
-                               metrics=engine.metric_names)
+                               _metric_rows(engine, batch))
     gt_written = False
     if recorded is not None:
         try:
             vector = analysis.ground_truth_overlay(seed, recorded,
                                                    cfg.sim_config(), engine)
             metrics.write_metric_table(os.path.join(out, "ground_truth.csv"),
-                                       [(-1, cfg.rng_seed, vector)],
-                                       metrics=engine.metric_names)
+                                       [(-1, cfg.rng_seed, vector)])
             gt_written = True
         except ValueError as exc:
             print(f"warning: no ground-truth overlay: {exc}", file=sys.stderr)

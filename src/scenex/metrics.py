@@ -101,13 +101,14 @@ def metric_wttc(ctx: PairContext, accel=DEFAULT_WTTC_ACCEL) -> float:
     return (-vs + math.sqrt(vs * vs + 4.0 * accel * gap)) / (2.0 * accel)
 
 
-def metric_gap_time(ctx: PairContext, min_speed=GAP_TIME_MIN_SPEED):
-    """Difference of predicted arrival times at the paths' conflict point."""
+def metric_gap_time(ctx: PairContext):
+    """Difference of predicted arrival times at the paths' conflict point;
+    undefined when either participant is at most `GAP_TIME_MIN_SPEED`."""
     if not ctx.crossing:
         return None
     v_a = ctx.a.speed
     v_b = ctx.b.speed
-    if v_a <= min_speed or v_b <= min_speed:
+    if v_a <= GAP_TIME_MIN_SPEED or v_b <= GAP_TIME_MIN_SPEED:
         return None
     return abs(ctx.d_self / v_a - ctx.d_other / v_b)
 
@@ -119,43 +120,24 @@ class MetricStats:
     defined_frames: int
 
 
-@dataclass(frozen=True)
-class MetricPlugin:
-    """Frame-level metric provider (e.g. a traffic-quality model)."""
-
-    fn: object  # callable(frame, contexts) -> float | None
-    max_is_worst: bool = True
-
-
 class MetricEngine:
-    """Computes pair contexts, per-frame extrema, and scenario fingerprints.
+    """Computes pair contexts, per-frame extrema, and scenario fingerprints
+    of the `DEFAULT_METRICS`.
 
     Each participant is judged on the path the simulator gives it
     (`path_for_pose` with its route selector, "straightest" without a log);
     off-map participants contribute to distance and WTTC only. Fingerprints
-    are stored per distinct log, so plugins must be pure functions of their
-    frame and contexts.
+    are stored per distinct log.
     """
 
     def __init__(self, map_graph, pttc_decel=DEFAULT_PTTC_DECEL,
-                 wttc_accel=DEFAULT_WTTC_ACCEL, route_horizon=DEFAULT_ROUTE_HORIZON,
-                 plugins=None):
+                 wttc_accel=DEFAULT_WTTC_ACCEL, route_horizon=DEFAULT_ROUTE_HORIZON):
         self.map_graph = map_graph
         self.pttc_decel = pttc_decel
         self.wttc_accel = wttc_accel
         self.route_horizon = route_horizon
-        self.plugins = dict(plugins or {})
         self._isect_cache = {}
         self._fingerprints = {}
-
-    @property
-    def metric_names(self):
-        return tuple(DEFAULT_METRICS) + tuple(sorted(self.plugins))
-
-    def _max_is_worst(self, metric) -> bool:
-        if metric in self.plugins:
-            return self.plugins[metric].max_is_worst
-        return metric in MAX_IS_WORST
 
     def _routes(self, log):
         """track id -> (route selector, seed lane) for non-default selectors."""
@@ -239,25 +221,16 @@ class MetricEngine:
         }
 
     def frame_extrema(self, frame, contexts=None):
-        """Worst value per metric over the frame's defined pairs."""
+        """Worst value per metric over the frame's defined pairs; of equal
+        values, the first in pair order."""
         if contexts is None:
             contexts = self.pair_contexts(frame)
+        values = [self.pair_values(ctx) for ctx in contexts]
         extrema = {}
-        for ctx in contexts:
-            for metric, value in self.pair_values(ctx).items():
-                if value is None:
-                    continue
-                cur = extrema.get(metric)
-                if cur is None:
-                    extrema[metric] = value
-                elif self._max_is_worst(metric):
-                    extrema[metric] = max(cur, value)
-                else:
-                    extrema[metric] = min(cur, value)
-        for name, plugin in self.plugins.items():
-            value = plugin.fn(frame, contexts)
-            if value is not None:
-                extrema[name] = value
+        for metric in DEFAULT_METRICS:
+            column = [v[metric] for v in values if v[metric] is not None]
+            if column:
+                extrema[metric] = max(column) if metric in MAX_IS_WORST else min(column)
         return extrema
 
     def aggregate(self, log):
@@ -282,7 +255,7 @@ class MetricEngine:
                 per_metric.setdefault(metric, []).append(value)
         vector = {}
         for metric, values in per_metric.items():
-            worst = max(values) if self._max_is_worst(metric) else min(values)
+            worst = max(values) if metric in MAX_IS_WORST else min(values)
             vector[metric] = MetricStats(worst, sum(values) / len(values), len(values))
         return vector
 

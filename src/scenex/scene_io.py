@@ -14,7 +14,6 @@ import hashlib
 import logging
 import math
 import struct
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
@@ -33,6 +32,11 @@ TRACK_COLUMNS = [
 FRAME_PERIOD_MS = 100
 DT = FRAME_PERIOD_MS / 1000
 DEFAULT_HISTORY_LEN = 10
+# upper bound of horizon_steps and history_len: 1000 s of 100 ms frames, far
+# beyond a scenario, low enough that an absurd value fails before allocating
+MAX_STEPS = 10_000
+# upper bound of a synthetic scene's n_vehicles: 9,900 ordered pairs a frame
+MAX_SYNTH_VEHICLES = 100
 DEFAULT_VEHICLE_LENGTH = 4.5
 DEFAULT_VEHICLE_WIDTH = 1.8
 
@@ -356,13 +360,16 @@ def synth_scene(template, params=None):
     where = f"template {template!r}"
     p = _template_params(template, params or {}, where)
     history_len = p["history_len"]
+    if not 1 <= history_len <= MAX_STEPS:
+        raise SynthParamError(
+            f"{where}: parameter 'history_len' must be from 1 to {MAX_STEPS}")
     length, width = p["vehicle_length"], p["vehicle_width"]
 
     if template == "car_following":
         n = p["n_vehicles"]
-        if not 1 <= n <= sys.maxsize:
+        if not 1 <= n <= MAX_SYNTH_VEHICLES:
             raise SynthParamError(
-                f"{where}: parameter 'n_vehicles' must be from 1 to {sys.maxsize}")
+                f"{where}: parameter 'n_vehicles' must be from 1 to {MAX_SYNTH_VEHICLES}")
         gaps = [p["gap"]] * (n - 1) if p["gaps"] is None else p["gaps"]
         speeds = [p["speed"]] * n if p["speeds"] is None else p["speeds"]
         if len(gaps) != n - 1 or len(speeds) != n:

@@ -19,6 +19,7 @@ from .map_model import DEFAULT_ROUTE_HORIZON, match_seed_lane, path_for_pose
 from .scene_io import (
     DEFAULT_HISTORY_LEN,
     FRAME_PERIOD_MS,
+    MAX_STEPS,
     SceneFrame,
     ScenarioLog,
     SeedScene,
@@ -27,9 +28,9 @@ from .scene_io import (
 
 DEFAULT_N_RUNS = 385
 DEFAULT_ENUMERATION_CAP = 1_000_000
-# upper bound of horizon_steps and history_len: 1000 s of 100 ms frames, far
-# beyond a scenario, low enough that an absurd value fails before allocating
-MAX_STEPS = 10_000
+# upper bound of enumeration_cap: a batch holds every child's log in memory,
+# so a larger cap would end in a MemoryError instead of a validation error
+MAX_ENUMERATION_CAP = DEFAULT_ENUMERATION_CAP
 
 
 @dataclass(frozen=True)
@@ -134,8 +135,9 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
     the next replan.
 
     `plan_memo` is a dict shared by the children of one batch: a path
-    follower's plan is computed once per distinct (track, resolved spec,
-    exact current states, path, steps), since the planner reads nothing else.
+    follower's path and plan are computed once per distinct (track, resolved
+    spec, exact current states, map, seed lane, route horizon, steps), since
+    `path_for_pose` and the planner read nothing else.
     """
     ids = seed.track_ids
     missing = [tid for tid in ids if tid not in assignment.mapping]
@@ -174,13 +176,14 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
                         if step == 0:
                             seed_lanes[tid] = match_seed_lane(
                                 seed.map_graph, me, spec.route_selector)
-                        path = path_for_pose(
-                            seed.map_graph, me.x, me.y, me.yaw,
-                            spec.route_selector, cfg.route_horizon, seed_lanes[tid],
-                        )
-                        key = (tid, spec, now, path, cfg.replan_interval)
+                        key = (tid, spec, now, seed.map_graph, seed_lanes[tid],
+                               cfg.route_horizon, cfg.replan_interval)
                         traj = plan_memo.get(key)
                         if traj is None:
+                            path = path_for_pose(
+                                seed.map_graph, me.x, me.y, me.yaw, spec.route_selector,
+                                cfg.route_horizon, seed_lanes[tid],
+                            )
                             traj = plan_memo[key] = plan_path_follow(view, spec, path)
                 except Exception as exc:
                     raise ChildRunError(tid, step, spec.kind, str(exc)) from exc

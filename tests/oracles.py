@@ -1,10 +1,13 @@
-"""Plain reference versions of the projection and density kernels, for the tests.
+"""Plain reference versions of the projection, metric and density kernels,
+for the tests.
 
 `project` is the segment loop of `Polyline.project` written out from the
 polyline's vertices and stations, `match_to_lane` projects a pose onto every
 lane of the map, and `pair_contexts` projects every state once per state that
-looks for leaders. `kde` evaluates one kernel row per sample, and
-`convergence_study` runs it on every resampled subset. The kernels in
+looks for leaders. `frame_extrema` folds each pair's values into a running
+extremum per metric, and `aggregate` fingerprints a log through it without
+the engine's stored fingerprints. `kde` evaluates one kernel row per sample,
+and `convergence_study` runs it on every resampled subset. The kernels in
 `scenex` must return the same floats, bit for bit.
 """
 import math
@@ -23,7 +26,7 @@ from scenex.behavior import LEADER_CLEARANCE, leaders_ahead
 from scenex.errors import OffMapError
 from scenex.geometry import wrap_angle
 from scenex.map_model import DEFAULT_MATCH_DISTANCE, path_for_pose
-from scenex.metrics import PairContext
+from scenex.metrics import MAX_IS_WORST, MetricStats, PairContext
 
 
 def project(polyline, x, y):
@@ -118,6 +121,40 @@ def pair_contexts(engine, frame, routes=None):
                         d_other = sb - st_b
             contexts.append(PairContext(a, b, s_net, delta_v, d_self, d_other))
     return contexts
+
+
+def frame_extrema(engine, frame, contexts=None):
+    """Worst value per metric over the frame's defined pairs."""
+    if contexts is None:
+        contexts = engine.pair_contexts(frame)
+    extrema = {}
+    for ctx in contexts:
+        for metric, value in engine.pair_values(ctx).items():
+            if value is None:
+                continue
+            cur = extrema.get(metric)
+            if cur is None:
+                extrema[metric] = value
+            elif metric in MAX_IS_WORST:
+                extrema[metric] = max(cur, value)
+            else:
+                extrema[metric] = min(cur, value)
+    return extrema
+
+
+def aggregate(engine, log):
+    """Per-scenario fingerprint: worst and mean-of-extrema per metric."""
+    routes = engine._routes(log)
+    per_metric = {}
+    for frame in log.frames:
+        contexts = engine.pair_contexts(frame, routes)
+        for metric, value in frame_extrema(engine, frame, contexts).items():
+            per_metric.setdefault(metric, []).append(value)
+    vector = {}
+    for metric, values in per_metric.items():
+        worst = max(values) if metric in MAX_IS_WORST else min(values)
+        vector[metric] = MetricStats(worst, sum(values) / len(values), len(values))
+    return vector
 
 
 def bits(value):

@@ -81,7 +81,6 @@ class TestThresholds:
         assert DEFAULT_THRESHOLDS["wttc"] == Threshold(0.26, True)
         assert DEFAULT_THRESHOLDS["inv_ttc"].value == pytest.approx(1.0 / 1.5)
         assert not DEFAULT_THRESHOLDS["inv_ttc"].critical_below
-        assert DEFAULT_THRESHOLDS["tq"] == Threshold(1.2, False)
 
     def test_exact_counting(self):
         assert threshold_fraction([3.0, 4.0, 6.0, 7.0], "distance") == 0.5

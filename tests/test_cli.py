@@ -11,7 +11,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scenex import analysis
+from scenex import analysis, scene_io
 from scenex.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -23,8 +23,8 @@ from scenex.cli import (
 )
 from scenex.map_model import load_map
 from scenex.metrics import read_metric_table, write_metric_table
-from scenex.scene_io import TRACK_COLUMNS, load_tracks
-from scenex.simulator import MAX_STEPS
+from scenex.scene_io import MAX_STEPS, MAX_SYNTH_VEHICLES, TRACK_COLUMNS, load_tracks
+from scenex.simulator import MAX_ENUMERATION_CAP
 from tests import oracles
 
 ROSTER = """\
@@ -209,7 +209,10 @@ class TestValidation:
         ({"history_len": str(MAX_STEPS + 1)}, [], "history_len"),
         ({"enumeration_cap": "9"}, [], "n_runs"),
         ({"enumeration_cap": "12"}, ["--n-runs", "13"], "n_runs"),
-    ], ids=["horizon_steps", "history_len", "n_runs", "n_runs-override"])
+        ({"enumeration_cap": str(MAX_ENUMERATION_CAP + 1)}, [], "enumeration_cap"),
+        ({"enumeration_cap": str(10 ** 30)}, [], "enumeration_cap"),
+    ], ids=["horizon_steps", "history_len", "n_runs", "n_runs-override",
+            "enumeration_cap", "enumeration_cap-huge"])
     def test_integer_field_above_its_bound_rejected_at_load(self, tmp_path, capsys,
                                                             fields, argv, named):
         cfg, out = write_config(tmp_path, **fields)
@@ -221,6 +224,10 @@ class TestValidation:
     def test_n_runs_equal_to_the_cap_accepted(self, tmp_path):
         cfg, out = write_config(tmp_path, enumeration_cap="10")
         assert main(["simulate", "--config", str(cfg), "--jobs", "1"]) == EXIT_OK
+
+    def test_enumeration_cap_at_its_bound_accepted(self, tmp_path):
+        cfg, _ = write_config(tmp_path, enumeration_cap=str(MAX_ENUMERATION_CAP))
+        assert load_run_config(cfg).enumeration_cap == MAX_ENUMERATION_CAP
 
     @pytest.mark.parametrize("field, value", [
         ("n_runs", "abc"),
@@ -529,6 +536,24 @@ class TestSynthSceneCommand:
         out = tmp_path / "scene"
         assert main(["synth-scene", "--template", "merge", "--out", str(out),
                      "--param", "gap=-1"]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("param, value", [
+        ("history_len", MAX_STEPS + 1),
+        ("history_len", 100_000_000_000),
+        ("n_vehicles", MAX_SYNTH_VEHICLES + 1),
+        ("n_vehicles", 10 ** 30),
+    ])
+    def test_size_above_its_bound_rejected(self, tmp_path, capsys, monkeypatch,
+                                           param, value):
+        def no_scene(specs, history_len):
+            raise AssertionError("the scene was built")
+
+        monkeypatch.setattr(scene_io, "_history_frames", no_scene)
+        out = tmp_path / "scene"
+        assert main(["synth-scene", "--template", "car_following", "--out", str(out),
+                     "--param", f"{param}={value}"]) == EXIT_VALIDATION
+        assert f"parameter '{param}' must be" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # -- fuzz: mutated run configs and maps end in an exit code, never a traceback --

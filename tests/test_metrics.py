@@ -13,7 +13,6 @@ from scenex.metrics import (
     DEFAULT_METRICS,
     MAX_IS_WORST,
     MetricEngine,
-    MetricPlugin,
     MetricStats,
     PairContext,
     effective_radius,
@@ -508,20 +507,105 @@ class TestSharedProjections:
             context_bits(oracles.pair_contexts(MetricEngine(graph), frame, routes))
 
 
-class TestPlugin:
-    def test_traffic_quality_slot(self, following_scene):
-        graph, seed = following_scene
+def fork_map():
+    """The `t_junction_map` fixture's map, for tests that draw examples."""
+    from tests.conftest import lane
 
-        def crowding(frame, contexts):
-            return float(len(frame.states))
+    return MapGraph([
+        lane("A", [(0.0, 0.0), (50.0, 0.0)], successors=("B", "C")),
+        lane("B", [(50.0, 0.0), (150.0, 0.0)]),
+        lane("C", [(50.0, 0.0), (60.0, 10.0), (60.0, 100.0)]),
+    ])
 
-        engine = MetricEngine(graph, plugins={"tq": MetricPlugin(crowding)})
-        assert engine.metric_names == DEFAULT_METRICS + ("tq",)
-        extrema = engine.frame_extrema(seed.current)
-        assert extrema["tq"] == 2.0
-        vector = engine.aggregate(ScenarioLog(seed, None, seed.frames))
-        assert vector["tq"].worst == 2.0
-        assert engine._max_is_worst("tq") is True
+
+FOLD_MAPS = {"following": synth_scene("car_following", {})[0],
+             "crossing": synth_scene("crossing", {})[0], "fork": fork_map()}
+# speeds and velocity components, with both zeros: a state at rest may have either
+FOLD_SPEEDS = st.sampled_from([0.0, -0.0, 0.05, 3.0, -3.0, 10.0])
+# 20 m to the side of a lane is off the map
+FOLD_LATERAL = st.sampled_from([0.0, -0.0, 0.4, -1.5, 20.0])
+
+
+@st.composite
+def fold_state(draw, graph, track_id):
+    """A state along a lane of `graph`, heading with it (3 in 4), or anywhere
+    near."""
+    if draw(st.integers(0, 3)):
+        polyline = graph.lane(draw(st.sampled_from(sorted(graph.lane_ids)))).polyline
+        station = draw(st.integers(0, 20)) / 20 * polyline.length
+        x, y = polyline.point_at(station)
+        yaw = polyline.tangent_at(station)
+        lateral = draw(FOLD_LATERAL)
+        x, y = x - lateral * math.sin(yaw), y + lateral * math.cos(yaw)
+        speed = draw(FOLD_SPEEDS)
+        vx, vy = speed * math.cos(yaw), speed * math.sin(yaw)
+    else:
+        x, y = draw(st.floats(-30.0, 120.0)), draw(st.floats(-30.0, 90.0))
+        yaw = draw(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2]))
+        vx, vy = draw(FOLD_SPEEDS), draw(FOLD_SPEEDS)
+    return ParticipantState(track_id, "car", x, y, yaw, vx, vy)
+
+
+def bits_of(extrema):
+    return {metric: bits(value) for metric, value in extrema.items()}
+
+
+class TestFoldAgainstOracle:
+    """`frame_extrema` folds each metric's column of pair values once; the
+    oracle keeps a running extremum. Both must give the same floats."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_frame_extrema_bits(self, data):
+        graph = FOLD_MAPS[data.draw(st.sampled_from(sorted(FOLD_MAPS)))]
+        n = data.draw(st.integers(1, 4))
+        frame = SceneFrame(100, tuple(data.draw(fold_state(graph, tid))
+                                      for tid in range(1, n + 1)))
+        routes = {}
+        for s in frame.states:
+            if data.draw(st.booleans()):
+                try:
+                    routes[s.track_id] = (0, match_seed_lane(graph, s, 0))
+                except OffMapError:
+                    pass
+        engine = MetricEngine(graph)
+        contexts = engine.pair_contexts(frame, routes)
+        got = engine.frame_extrema(frame, contexts)
+        assert set(got) <= set(DEFAULT_METRICS)
+        assert bits_of(got) == bits_of(oracles.frame_extrema(engine, frame, contexts))
+        assert bits_of(engine.frame_extrema(frame)) == bits_of(
+            oracles.frame_extrema(engine, frame))
+
+    def test_crossing_grid(self):
+        # both participants ahead of the conflict point on most of the grid
+        graph = FOLD_MAPS["crossing"]
+        engine = MetricEngine(graph)
+        east, north = (graph.lane(i).polyline for i in ("east", "north"))
+        crossing = 0
+        for k in range(0, 21, 2):
+            for j in range(0, 21, 2):
+                xa, ya = east.point_at(k / 20 * east.length)
+                xb, yb = north.point_at(j / 20 * north.length)
+                for v_a, v_b in ((10.0, 3.0), (0.0, 10.0), (-0.0, 0.05)):
+                    frame = SceneFrame(100, (
+                        ParticipantState(1, "car", xa, ya, 0.0, v_a, 0.0),
+                        ParticipantState(2, "car", xb, yb, math.pi / 2, -0.0, v_b)))
+                    got = engine.frame_extrema(frame)
+                    assert bits_of(got) == bits_of(oracles.frame_extrema(engine, frame))
+                    crossing += "gap_time" in got
+        assert crossing > 0
+
+    def test_aggregate_bits_over_a_batch(self):
+        graph, seed = synth_scene("merge", {})
+        batch = run_enumerated(seed, MEMO_ROSTER)
+        engine = MetricEngine(graph)
+        defined = set()
+        for child in batch.children:
+            vector = engine.aggregate(child.log)
+            assert exact(vector) == exact(oracles.aggregate(MetricEngine(graph),
+                                                            child.log))
+            defined |= set(vector)
+        assert defined == set(DEFAULT_METRICS)
 
 
 class TestMetricTable:

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scenex.errors import InsufficientHistoryError, SchemaError, SynthParamError
 from scenex.map_model import path_for_pose, path_intersection
 from scenex.scene_io import (
+    MAX_STEPS,
+    MAX_SYNTH_VEHICLES,
     TRACK_COLUMNS,
     Case,
     ParticipantState,
@@ -249,6 +251,10 @@ class TestSynthScene:
         ("car_following", {"speeds": "12"}, "speeds"),
         ("car_following", {"gaps": [10.0, "5"], "n_vehicles": 3}, "gaps"),
         ("car_following", {"n_vehicles": 10 ** 400}, "n_vehicles"),
+        ("car_following", {"n_vehicles": 0}, "n_vehicles"),
+        ("car_following", {"n_vehicles": MAX_SYNTH_VEHICLES + 1}, "n_vehicles"),
+        ("crossing", {"history_len": 0}, "history_len"),
+        ("merge", {"history_len": MAX_STEPS + 1}, "history_len"),
         ("merge", {"gap": "15"}, "gap"),
         ("merge", {"speed_main": -1.0}, "speed_main"),
         ("crossing", {"distance_a": float("inf")}, "distance_a"),
@@ -268,6 +274,14 @@ class TestSynthScene:
         assert as_ints[1].frames == as_floats[1].frames
         assert all(type(v) is float for s in as_ints[1].current.states
                    for v in (s.x, s.vx, s.length))
+
+    def test_sizes_at_their_bounds_accepted(self):
+        _, seed = synth_scene("car_following", {
+            "n_vehicles": MAX_SYNTH_VEHICLES, "gap": 8.0, "lane_length": 1000.0,
+            "history_len": 2})
+        assert len(seed.current.states) == MAX_SYNTH_VEHICLES
+        _, seed = synth_scene("crossing", {"history_len": MAX_STEPS})
+        assert len(seed.frames) == MAX_STEPS
 
     def test_unknown_template(self):
         with pytest.raises(SynthParamError):

@@ -8,6 +8,7 @@ from scenex.errors import ChildRunError, EnumerationCapError, ScenexError
 from scenex.map_model import MapGraph
 from scenex.metrics import MetricEngine
 from scenex.scene_io import (
+    MAX_STEPS,
     ParticipantState,
     SceneFrame,
     SeedScene,
@@ -16,7 +17,6 @@ from scenex.scene_io import (
     write_log,
 )
 from scenex.simulator import (
-    MAX_STEPS,
     SimConfig,
     assign_models,
     enumerate_assignments,
@@ -348,6 +348,25 @@ class TestPlanMemo:
         assert_children_run_alone(batch, seed)
         assert in_batch < (len(planner_calls) - in_batch) / 2
 
+    def test_path_resolved_only_for_a_plan(self, t_junction_map, planner_calls,
+                                           monkeypatch):
+        path_calls = []
+        original = simulator.path_for_pose
+
+        def counting(*args):
+            path_calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(simulator, "path_for_pose", counting)
+        seed = seed_of(t_junction_map, (1, 5.0, 0.0, 0.0, 8.0),
+                       (2, 20.0, 0.0, 0.0, 10.0), (3, 35.0, 0.0, 0.0, 10.0))
+        roster = [ModelSpec("standard", route_selector=1),
+                  ModelSpec("risky", route_selector=0),
+                  ModelSpec("constant_velocity"), ModelSpec("replay")]
+        batch = run_enumerated(seed, roster)
+        assert batch.n_failed == 0
+        assert len(path_calls) == len(planner_calls) > 0
+
     def test_mapless_seed(self, planner_calls):
         seed = seed_of(None, (1, 0.0, 0.0, 0.3, 9.0), (2, 20.0, 5.0, 0.3, 7.0))
         roster = [ModelSpec("standard"), ModelSpec("risky"),
@@ -381,6 +400,21 @@ class TestPlanMemo:
         second = run_child(bend, a, plan_memo=memo)
         assert second.digest != first.digest
         assert second.digest == run_child(bend, a).digest
+
+    def test_shared_memo_tells_seed_lanes_apart(self, double_branch_map):
+        a = simulator.Assignment(
+            {1: ModelSpec("constant_velocity", route_selector=1)}, ("sampled", 0))
+        first_seed = seed_of(double_branch_map, (1, 9.0, 0.0, 0.0, 15.0))
+        memo = {}
+        first = run_child(first_seed, a, plan_memo=memo)
+        # the second seed starts at the first child's state of its step-5
+        # replan, on lane C: the first child, past its seed lane A, took C's
+        # straightest route there; the second applies route selector 1 on C
+        history = (first_seed.frames + first.frames[:5])[-10:]
+        second_seed = SeedScene(double_branch_map, history)
+        alone = run_child(second_seed, a)
+        assert run_child(second_seed, a, plan_memo=memo).digest == alone.digest
+        assert alone.frames[:5] != first.frames[5:10]  # the routes part ways
 
     def test_signed_zero_is_another_input(self, straight_map, planner_calls,
                                           tmp_path):
