@@ -251,15 +251,15 @@ class TestSynthScene:
         ("car_following", {"speeds": "12"}, "speeds"),
         ("car_following", {"gaps": [10.0, "5"], "n_vehicles": 3}, "gaps"),
         ("car_following", {"n_vehicles": 10 ** 400}, "n_vehicles"),
-        ("car_following", {"n_vehicles": 0}, "n_vehicles"),
-        ("car_following", {"n_vehicles": MAX_SYNTH_VEHICLES + 1}, "n_vehicles"),
-        ("crossing", {"history_len": 0}, "history_len"),
-        ("merge", {"history_len": MAX_STEPS + 1}, "history_len"),
         ("merge", {"gap": "15"}, "gap"),
         ("merge", {"speed_main": -1.0}, "speed_main"),
         ("crossing", {"distance_a": float("inf")}, "distance_a"),
         ("crossing", {"vehicle_width": 0}, "vehicle_width"),
         ("crossing", {"gap": 10.0}, "gap"),
+        ("car_following", {"n_vehicles": 0}, "n_vehicles"),
+        ("car_following", {"n_vehicles": MAX_SYNTH_VEHICLES + 1}, "n_vehicles"),
+        ("crossing", {"history_len": 0}, "history_len"),
+        ("merge", {"history_len": MAX_STEPS + 1}, "history_len"),
     ])
     def test_bad_parameter_named(self, template, params, key):
         with pytest.raises(SynthParamError,
