@@ -4,18 +4,23 @@ Per-scenario metric values are smoothed with a Gaussian kernel (bandwidth
 0.1 by default, applied to raw metric values), accumulated to cumulative
 curves, compared against literature thresholds, and resampled for
 sample-size convergence studies.
+
+numpy is imported by the functions that use it, so the simulation commands,
+which import this module for the ground-truth overlay, never load it.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .behavior import ModelSpec
 from .errors import ScenexError
 from .metrics import MetricEngine
 from .simulator import Assignment, SimConfig, recorded_base_index, run_child
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BANDWIDTH = 0.1
 DEFAULT_GRID_SIZE = 512
@@ -41,6 +46,7 @@ def kde(values, bandwidth=DEFAULT_BANDWIDTH, grid=None, metric="") -> DensityEst
     within 1 percent. The estimate is exact; its cost grows with the number
     of distinct values.
     """
+    import numpy as np
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("kde needs at least one sample")
@@ -66,6 +72,7 @@ def _kernel_rows(values, grid, bandwidth):
     row per sample, bit for bit. `np.unique` folds -0.0 into 0.0; their rows
     are equal because z is squared.
     """
+    import numpy as np
     distinct, inverse = np.unique(values, return_inverse=True)
     z = (grid[None, :] - distinct[:, None]) / bandwidth
     return np.exp(-0.5 * z * z), inverse
@@ -84,6 +91,7 @@ def _density(rows, inverse, bandwidth):
 
 def cumulative(est: DensityEstimate) -> np.ndarray:
     """Running trapezoidal integral, clamped to [0, 1], non-decreasing."""
+    import numpy as np
     dx = np.diff(est.grid)
     steps = 0.5 * (est.density[1:] + est.density[:-1]) * dx
     curve = np.concatenate([[0.0], np.cumsum(steps)])
@@ -105,6 +113,7 @@ DEFAULT_THRESHOLDS = {
 
 def threshold_fraction(values, metric, threshold: Threshold | None = None) -> float:
     """Fraction of raw samples on the critical side of the threshold."""
+    import numpy as np
     if threshold is None:
         try:
             threshold = DEFAULT_THRESHOLDS[metric]
@@ -127,6 +136,7 @@ def convergence_study(full_values, sizes=DEFAULT_CONVERGENCE_SIZES,
     row per size: dict(size, mean_l1, std_l1, resamples). The population's
     kernel rows are computed once; a subset sums the rows of its samples.
     """
+    import numpy as np
     full_values = np.asarray(full_values, dtype=float)
     rng = np.random.default_rng(seed)
     full = kde(full_values, bandwidth)

@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import fnmatch
 import json
 import os
+import shutil
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -112,10 +114,32 @@ def _metric_rows(engine, batch):
     return rows
 
 
+def _remove_stale(path, header) -> None:
+    """Delete the file an earlier run left at `path` if its first line starts
+    with `header`, as the file this command writes there does: `simulate` and
+    `analyze` both write a `ground_truth.csv`, and neither deletes the other's."""
+    try:
+        with open(path, newline="") as fh:
+            if not fh.readline().startswith(header):
+                return
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+
+
 def _write_outputs(cfg, batch, engine, seed, recorded, mode):
+    """Write a batch's logs, tables and manifest, and delete the logs and
+    ground-truth table an earlier run left that this run did not write.
+
+    Equal digests (timestamps, ids, agent types and float bits; the case id
+    is the batch's) mean equal bytes, so each distinct log is rendered once
+    and copied for its repeats.
+    """
     out = cfg.output_dir
     logs_dir = os.path.join(out, "logs")
     os.makedirs(logs_dir, exist_ok=True)
+    rendered = {}  # log digest -> the file it was rendered to
+    written = set()
     children = []
     for child in batch.children:
         entry = {
@@ -125,9 +149,16 @@ def _write_outputs(cfg, batch, engine, seed, recorded, mode):
             "status": "ok" if child.ok else "failed",
         }
         if child.ok:
-            rel = os.path.join("logs", f"child_{child.index:05d}.csv")
-            scene_io.write_log(child.log, os.path.join(out, rel))
-            entry["log"] = rel
+            name = f"child_{child.index:05d}.csv"
+            path = os.path.join(logs_dir, name)
+            first = rendered.get(child.log.digest)
+            if first is None:
+                scene_io.write_log(child.log, path)
+                rendered[child.log.digest] = path
+            else:
+                shutil.copyfile(first, path)
+            written.add(name)
+            entry["log"] = os.path.join("logs", name)
         else:
             entry.update(error=child.error, track_id=child.track_id, step=child.step,
                          model_kind=child.model_kind, error_class=child.error_class)
@@ -144,6 +175,11 @@ def _write_outputs(cfg, batch, engine, seed, recorded, mode):
             gt_written = True
         except ValueError as exc:
             print(f"warning: no ground-truth overlay: {exc}", file=sys.stderr)
+    if not gt_written:
+        _remove_stale(os.path.join(out, "ground_truth.csv"), "run_index,run_seed,")
+    for name in fnmatch.filter(os.listdir(logs_dir), "child_*.csv"):
+        if name not in written:
+            _remove_stale(os.path.join(logs_dir, name), ",".join(scene_io.TRACK_COLUMNS))
     manifest = {
         "schema": "scenex-manifest/1",
         "mode": mode,
@@ -270,13 +306,17 @@ def cmd_analyze(args) -> int:
     _write_rows_csv(os.path.join(args.out, "thresholds.csv"),
                     ["table", "metric", "threshold", "critical_side", "fraction"],
                     threshold_rows)
-    if args.sizes:
-        _write_rows_csv(os.path.join(args.out, "convergence.csv"),
-                        ["table", "metric", "size", "mean_l1", "std_l1", "resamples"],
-                        convergence_rows)
-    if gt_rows:
-        _write_rows_csv(os.path.join(args.out, "ground_truth.csv"),
-                        ["table", "metric", "aggregate", "value"], gt_rows)
+    # the optional tables: written when asked for, else an earlier run's deleted
+    for name, header, rows in (
+            ("convergence.csv",
+             ["table", "metric", "size", "mean_l1", "std_l1", "resamples"],
+             convergence_rows if args.sizes else None),
+            ("ground_truth.csv", ["table", "metric", "aggregate", "value"],
+             gt_rows or None)):
+        if rows is None:
+            _remove_stale(os.path.join(args.out, name), ",".join(header))
+        else:
+            _write_rows_csv(os.path.join(args.out, name), header, rows)
     return EXIT_OK
 
 

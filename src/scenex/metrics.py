@@ -18,6 +18,7 @@ from .map_model import (
     path_for_pose,
     path_intersection,
 )
+from .scene_io import state_bits
 
 DEFAULT_METRICS = ("distance", "gap_time", "inv_ttc", "pttc", "wttc")
 # metrics whose scenario worst is the maximum; all others minimize
@@ -26,6 +27,10 @@ MAX_IS_WORST = frozenset({"inv_ttc"})
 DEFAULT_PTTC_DECEL = 3.0
 DEFAULT_WTTC_ACCEL = 7.5
 GAP_TIME_MIN_SPEED = 0.1
+
+# the route of a participant without a route selector in its log
+_STRAIGHTEST = ("straightest", None)
+_NO_LEADERS = {}
 
 
 def effective_radius(state) -> float:
@@ -58,6 +63,38 @@ class PairContext:
         return self.d_self is not None
 
 
+# The scalar kernels below hold each formula once; the metric_* functions
+# and the engine's frame fold both call them.
+
+def _inverse_ttc(s_net, delta_v) -> float:
+    return delta_v / s_net if delta_v > 0.0 else 0.0
+
+
+def _pttc(s_net, delta_v, v_follower, v_leader, decel):
+    t_stop = v_leader / decel
+    root = (-delta_v + math.sqrt(delta_v * delta_v + 2.0 * decel * s_net)) / decel
+    if root <= t_stop:
+        return root
+    gap_at_stop = s_net - delta_v * t_stop - 0.5 * decel * t_stop * t_stop
+    if v_follower <= 0.0:
+        return None
+    return t_stop + gap_at_stop / v_follower
+
+
+def _wttc(distance, r_a, r_b, v_a, v_b, accel) -> float:
+    gap = distance - r_a - r_b
+    if gap <= 0.0:
+        return 0.0
+    vs = v_a + v_b
+    return (-vs + math.sqrt(vs * vs + 4.0 * accel * gap)) / (2.0 * accel)
+
+
+def _gap_time(d_self, d_other, v_a, v_b):
+    if v_a <= GAP_TIME_MIN_SPEED or v_b <= GAP_TIME_MIN_SPEED:
+        return None
+    return abs(d_self / v_a - d_other / v_b)
+
+
 def metric_distance(a, b) -> float:
     return math.hypot(a.x - b.x, a.y - b.y)
 
@@ -66,7 +103,7 @@ def metric_inverse_ttc(ctx: PairContext):
     """1/TTC of a car-following pair; 0 when the gap is opening."""
     if not ctx.following:
         return None
-    return ctx.delta_v / ctx.s_net if ctx.delta_v > 0.0 else 0.0
+    return _inverse_ttc(ctx.s_net, ctx.delta_v)
 
 
 def metric_pttc(ctx: PairContext, decel=DEFAULT_PTTC_DECEL):
@@ -74,18 +111,7 @@ def metric_pttc(ctx: PairContext, decel=DEFAULT_PTTC_DECEL):
     follower holds speed; piecewise after the leader stops."""
     if not ctx.following:
         return None
-    s = ctx.s_net
-    dv = ctx.delta_v
-    v_leader = ctx.b.speed
-    t_stop = v_leader / decel
-    root = (-dv + math.sqrt(dv * dv + 2.0 * decel * s)) / decel
-    if root <= t_stop:
-        return root
-    gap_at_stop = s - dv * t_stop - 0.5 * decel * t_stop * t_stop
-    v_follower = ctx.a.speed
-    if v_follower <= 0.0:
-        return None
-    return t_stop + gap_at_stop / v_follower
+    return _pttc(ctx.s_net, ctx.delta_v, ctx.a.speed, ctx.b.speed, decel)
 
 
 def metric_wttc(ctx: PairContext, accel=DEFAULT_WTTC_ACCEL) -> float:
@@ -93,12 +119,8 @@ def metric_wttc(ctx: PairContext, accel=DEFAULT_WTTC_ACCEL) -> float:
 
     Defined for every pair; 0 when the footprints already overlap.
     """
-    d = metric_distance(ctx.a, ctx.b)
-    gap = d - effective_radius(ctx.a) - effective_radius(ctx.b)
-    if gap <= 0.0:
-        return 0.0
-    vs = ctx.a.speed + ctx.b.speed
-    return (-vs + math.sqrt(vs * vs + 4.0 * accel * gap)) / (2.0 * accel)
+    return _wttc(metric_distance(ctx.a, ctx.b), effective_radius(ctx.a),
+                 effective_radius(ctx.b), ctx.a.speed, ctx.b.speed, accel)
 
 
 def metric_gap_time(ctx: PairContext):
@@ -106,11 +128,7 @@ def metric_gap_time(ctx: PairContext):
     undefined when either participant is at most `GAP_TIME_MIN_SPEED`."""
     if not ctx.crossing:
         return None
-    v_a = ctx.a.speed
-    v_b = ctx.b.speed
-    if v_a <= GAP_TIME_MIN_SPEED or v_b <= GAP_TIME_MIN_SPEED:
-        return None
-    return abs(ctx.d_self / v_a - ctx.d_other / v_b)
+    return _gap_time(ctx.d_self, ctx.d_other, ctx.a.speed, ctx.b.speed)
 
 
 @dataclass(frozen=True)
@@ -126,8 +144,12 @@ class MetricEngine:
 
     Each participant is judged on the path the simulator gives it
     (`path_for_pose` with its route selector, "straightest" without a log);
-    off-map participants contribute to distance and WTTC only. Fingerprints
-    are stored per distinct log.
+    off-map participants contribute to distance and WTTC only.
+
+    The engine pays once for each distinct piece of work: a state's path,
+    station, speed and radius per exact state (`state_bits`) and route, a
+    state's projection per path and exact state, and a fingerprint per
+    distinct log and routes.
     """
 
     def __init__(self, map_graph, pttc_decel=DEFAULT_PTTC_DECEL,
@@ -138,6 +160,8 @@ class MetricEngine:
         self.route_horizon = route_horizon
         self._isect_cache = {}
         self._fingerprints = {}
+        self._states = {}       # (state bits, route) -> `_state_row`
+        self._projections = {}  # path -> {state bits: Polyline.project}
 
     def _routes(self, log):
         """track id -> (route selector, seed lane) for non-default selectors."""
@@ -153,61 +177,93 @@ class MetricEngine:
 
     def _conflict(self, path_a, path_b):
         key = (path_a.source_route, path_b.source_route)
-        if key in self._isect_cache:
-            return self._isect_cache[key]
-        hit = path_intersection(path_a, path_b)
-        self._isect_cache[key] = hit
+        if key not in self._isect_cache:
+            self._isect_cache[key] = path_intersection(path_a, path_b)
+        return self._isect_cache[key]
+
+    def _crossing(self, path_a, station_a, path_b, station_b):
+        """(d_self, d_other) to the paths' conflict point when it lies ahead
+        of both participants, else None."""
+        if path_a is None or path_b is None or \
+                path_a.source_route == path_b.source_route:
+            return None
+        hit = self._conflict(path_a, path_b)
+        if hit is None:
+            return None
+        _, sa, sb = hit
+        if sa - station_a > 1e-9 and sb - station_b > 1e-9:
+            return sa - station_a, sb - station_b
+        return None
+
+    def _project(self, path, state, bits):
+        on_path = self._projections.setdefault(path, {})
+        hit = on_path.get(bits)
+        if hit is None:
+            hit = on_path[bits] = path.polyline.project(state.x, state.y)
         return hit
+
+    def _state_row(self, state, bits, route):
+        """(path, station, speed, radius) of a state on its route; path and
+        station are None off the map or on a map-less seed."""
+        selector, seed_lane = route
+        try:
+            path = path_for_pose(self.map_graph, state.x, state.y, state.yaw,
+                                 selector, self.route_horizon, seed_lane)
+        except OffMapError:
+            path = None
+        station = None
+        if path is not None and path.polyline is not None:
+            station = self._project(path, state, bits)[0]
+        else:
+            path = None
+        return path, station, state.speed, effective_radius(state)
+
+    def _frame(self, frame, routes):
+        """(rows, leaders) of a frame, one entry per state in order: its
+        `_state_row`, and the net gap to each leader ahead on its path, by
+        track id. `routes` as in `pair_contexts`."""
+        states = frame.states
+        bits = [state_bits(s) for s in states]
+        memo = self._states
+        rows = []
+        for state, key in zip(states, bits):
+            key = (key, routes.get(state.track_id, _STRAIGHTEST))
+            row = memo.get(key)
+            if row is None:
+                row = memo[key] = self._state_row(state, *key)
+            rows.append(row)
+        leaders = []
+        on_paths = {}  # path -> the projection of every state onto it
+        for state, (path, station, _, _) in zip(states, rows):
+            if path is None:
+                leaders.append(_NO_LEADERS)
+                continue
+            on_path = on_paths.get(path)
+            if on_path is None:
+                on_path = on_paths[path] = [self._project(path, other, key)
+                                            for other, key in zip(states, bits)]
+            neighbours = path_neighbours(state.track_id, states, on_path)
+            leaders.append({other.track_id: s_net for other, s_net
+                            in leaders_ahead(state, station, neighbours)})
+        return rows, leaders
 
     def pair_contexts(self, frame, routes=None):
         """All ordered pair contexts of a frame.
 
         `routes` maps a track id to its (route selector, seed lane); any other
-        participant is judged on its lane's straightest route. Every state
-        is projected once onto each distinct path of the frame.
+        participant is judged on its lane's straightest route.
         """
-        routes = routes or {}
+        rows, leaders = self._frame(frame, routes or {})
         states = frame.states
-        projections = {}  # path -> its Polyline.project of every state
-        info = []
-        for i, state in enumerate(states):
-            selector, seed_lane = routes.get(state.track_id, ("straightest", None))
-            try:
-                path = path_for_pose(self.map_graph, state.x, state.y, state.yaw,
-                                     selector, self.route_horizon, seed_lane)
-            except OffMapError:
-                path = None
-            station = None
-            gaps = {}
-            if path is not None and path.polyline is not None:
-                on_path = projections.get(path)
-                if on_path is None:
-                    project = path.polyline.project
-                    on_path = projections[path] = [project(other.x, other.y)
-                                                   for other in states]
-                station = on_path[i][0]
-                neighbours = path_neighbours(state.track_id, states, on_path)
-                gaps = {other.track_id: s_net for other, s_net
-                        in leaders_ahead(state, station, neighbours)}
-            info.append((state, path, station, gaps))
         contexts = []
-        for a, path_a, st_a, gaps in info:
-            for b, path_b, st_b, _ in info:
-                if a.track_id == b.track_id:
+        for a, (path_a, st_a, v_a, _), gaps in zip(states, rows, leaders):
+            for b, (path_b, st_b, v_b, _) in zip(states, rows):
+                if a is b:
                     continue
                 s_net = gaps.get(b.track_id)
-                delta_v = d_self = d_other = None
-                if s_net is not None:
-                    delta_v = a.speed - b.speed
-                if (st_a is not None and st_b is not None
-                        and path_a.source_route != path_b.source_route):
-                    hit = self._conflict(path_a, path_b)
-                    if hit is not None:
-                        _, sa, sb = hit
-                        if sa - st_a > 1e-9 and sb - st_b > 1e-9:
-                            d_self = sa - st_a
-                            d_other = sb - st_b
-                contexts.append(PairContext(a, b, s_net, delta_v, d_self, d_other))
+                delta_v = None if s_net is None else v_a - v_b
+                crossing = self._crossing(path_a, st_a, path_b, st_b) or (None, None)
+                contexts.append(PairContext(a, b, s_net, delta_v, *crossing))
         return contexts
 
     def pair_values(self, ctx: PairContext):
@@ -220,18 +276,41 @@ class MetricEngine:
             "wttc": metric_wttc(ctx, self.wttc_accel),
         }
 
-    def frame_extrema(self, frame, contexts=None):
+    def frame_extrema(self, frame, routes=None):
         """Worst value per metric over the frame's defined pairs; of equal
-        values, the first in pair order."""
-        if contexts is None:
-            contexts = self.pair_contexts(frame)
-        values = [self.pair_values(ctx) for ctx in contexts]
-        extrema = {}
-        for metric in DEFAULT_METRICS:
-            column = [v[metric] for v in values if v[metric] is not None]
-            if column:
-                extrema[metric] = max(column) if metric in MAX_IS_WORST else min(column)
-        return extrema
+        values, the first in pair order. `routes` as in `pair_contexts`."""
+        rows, leaders = self._frame(frame, routes or {})
+        states = frame.states
+        decel = self.pttc_decel
+        accel = self.wttc_accel
+        distance = gap_time = inv_ttc = pttc = wttc = None
+        for a, (path_a, st_a, v_a, r_a), gaps in zip(states, rows, leaders):
+            for b, (path_b, st_b, v_b, r_b) in zip(states, rows):
+                if a is b:
+                    continue
+                d = metric_distance(a, b)
+                if distance is None or d < distance:
+                    distance = d
+                value = _wttc(d, r_a, r_b, v_a, v_b, accel)
+                if wttc is None or value < wttc:
+                    wttc = value
+                s_net = gaps.get(b.track_id)
+                if s_net is not None:
+                    delta_v = v_a - v_b
+                    # inv_ttc is the one metric of MAX_IS_WORST
+                    value = _inverse_ttc(s_net, delta_v)
+                    if inv_ttc is None or value > inv_ttc:
+                        inv_ttc = value
+                    value = _pttc(s_net, delta_v, v_a, v_b, decel)
+                    if value is not None and (pttc is None or value < pttc):
+                        pttc = value
+                crossing = self._crossing(path_a, st_a, path_b, st_b)
+                if crossing is not None:
+                    value = _gap_time(*crossing, v_a, v_b)
+                    if value is not None and (gap_time is None or value < gap_time):
+                        gap_time = value
+        extrema = (distance, gap_time, inv_ttc, pttc, wttc)
+        return {m: v for m, v in zip(DEFAULT_METRICS, extrema) if v is not None}
 
     def aggregate(self, log):
         """Per-scenario fingerprint: worst and mean-of-extrema per metric.
@@ -250,8 +329,7 @@ class MetricEngine:
     def _fingerprint(self, log, routes):
         per_metric = {}
         for frame in log.frames:
-            contexts = self.pair_contexts(frame, routes)
-            for metric, value in self.frame_extrema(frame, contexts).items():
+            for metric, value in self.frame_extrema(frame, routes).items():
                 per_metric.setdefault(metric, []).append(value)
         vector = {}
         for metric, values in per_metric.items():

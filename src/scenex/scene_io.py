@@ -95,15 +95,18 @@ class SceneFrame:
         return None
 
 
+def state_bits(s) -> bytes:
+    """A state's seven floats, bit for bit, so 0.0 and -0.0 differ."""
+    return _STATE_FLOATS.pack(s.x, s.y, s.yaw, s.vx, s.vy, s.length, s.width)
+
+
 def states_key(frame) -> bytes:
     """The exact content of a frame's states, in track order: every field,
-    floats bit for bit, so 0.0 and -0.0 give different keys. The timestamp
-    is left out."""
-    pack = _STATE_FLOATS.pack
+    floats as `state_bits`. The timestamp is left out."""
     parts = []
     for s in frame.states:
         parts.append(b"%a %a" % (s.track_id, s.agent_type))
-        parts.append(pack(s.x, s.y, s.yaw, s.vx, s.vy, s.length, s.width))
+        parts.append(state_bits(s))
     return b"".join(parts)
 
 

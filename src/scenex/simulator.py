@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .behavior import WorldView, plan_path_follow, plan_replay, resolve_spec
 from .errors import ChildRunError, EnumerationCapError, ScenexError
@@ -266,19 +266,45 @@ def _worker(args):
 
 
 def _execute(seed, cfg, recorded, tasks, jobs) -> BatchResult:
+    """Run the (index, assignment) `tasks`, each distinct assignment once.
+
+    `run_child` reads nothing of an assignment but each participant's
+    `ModelSpec`, so a task whose specs equal an earlier task's gets that
+    child's frames, or its failure, under its own index and assignment.
+    Only the first task of each spec tuple is run, serially or in the pool.
+    """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    ids = seed.track_ids
+    keys = [tuple(assignment.mapping.get(tid) for tid in ids)
+            for _, assignment in tasks]
+    firsts = {}
+    for key, task in zip(keys, tasks):
+        firsts.setdefault(key, task)
+    distinct = list(firsts.values())
     if jobs > 1:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker,
             initargs=(seed, cfg, recorded),
         ) as pool:
-            results = list(pool.map(_worker, tasks, chunksize=64))
+            results = list(pool.map(_worker, distinct, chunksize=64))
     else:
         plan_memo = {}
-        results = [_run_one(seed, a, cfg, recorded, i, plan_memo) for i, a in tasks]
-    results.sort(key=lambda c: c.index)
-    return BatchResult(tuple(results))
+        results = [_run_one(seed, a, cfg, recorded, i, plan_memo) for i, a in distinct]
+    ran = dict(zip(firsts, results))
+    children = []
+    for key, (index, assignment) in zip(keys, tasks):
+        first = ran[key]
+        if first.index != index:
+            log = None
+            if first.log is not None:
+                log = ScenarioLog(seed, assignment, first.log.frames)
+                # the digest depends on the frames alone; hash them once
+                log.__dict__["digest"] = first.log.digest
+            first = replace(first, index=index, assignment=assignment, log=log)
+        children.append(first)
+    children.sort(key=lambda c: c.index)
+    return BatchResult(tuple(children))
 
 
 def run_batch(seed: SeedScene, roster, n_runs=DEFAULT_N_RUNS,

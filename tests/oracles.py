@@ -4,11 +4,11 @@ for the tests.
 `project` is the segment loop of `Polyline.project` written out from the
 polyline's vertices and stations, `match_to_lane` projects a pose onto every
 lane of the map, and `pair_contexts` projects every state once per state that
-looks for leaders. `frame_extrema` folds each pair's values into a running
-extremum per metric, and `aggregate` fingerprints a log through it without
-the engine's stored fingerprints. `kde` evaluates one kernel row per sample,
-and `convergence_study` runs it on every resampled subset. The kernels in
-`scenex` must return the same floats, bit for bit.
+looks for leaders, with none of the engine's memos. `frame_extrema` folds each
+pair's values into a running extremum per metric, and `aggregate` fingerprints
+a log through both without the engine's stored fingerprints. `kde` evaluates
+one kernel row per sample, and `convergence_study` runs it on every resampled
+subset. The kernels in `scenex` must return the same floats, bit for bit.
 """
 import math
 
@@ -126,7 +126,7 @@ def pair_contexts(engine, frame, routes=None):
 def frame_extrema(engine, frame, contexts=None):
     """Worst value per metric over the frame's defined pairs."""
     if contexts is None:
-        contexts = engine.pair_contexts(frame)
+        contexts = pair_contexts(engine, frame)
     extrema = {}
     for ctx in contexts:
         for metric, value in engine.pair_values(ctx).items():
@@ -147,7 +147,7 @@ def aggregate(engine, log):
     routes = engine._routes(log)
     per_metric = {}
     for frame in log.frames:
-        contexts = engine.pair_contexts(frame, routes)
+        contexts = pair_contexts(engine, frame, routes)
         for metric, value in frame_extrema(engine, frame, contexts).items():
             per_metric.setdefault(metric, []).append(value)
     vector = {}

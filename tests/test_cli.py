@@ -4,6 +4,9 @@ import io
 import json
 import math
 import os
+import shutil
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -11,7 +14,8 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scenex import analysis, scene_io
+import scenex
+from scenex import analysis, scene_io, simulator
 from scenex.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -26,6 +30,7 @@ from scenex.metrics import read_metric_table, write_metric_table
 from scenex.scene_io import MAX_STEPS, MAX_SYNTH_VEHICLES, TRACK_COLUMNS, load_tracks
 from scenex.simulator import MAX_ENUMERATION_CAP
 from tests import oracles
+from tests.test_scene_io import make_case
 
 ROSTER = """\
 format: scenex-roster
@@ -143,6 +148,64 @@ class TestEnumerate:
         assert manifest["n_children"] == 4
         combos = {tuple(c["assignment"].values()) for c in manifest["children"]}
         assert len(combos) == 4
+
+    def test_each_distinct_log_rendered_once(self, tmp_path, monkeypatch):
+        # the front vehicle has no one ahead and drives at its target speed,
+        # so both IDM drivers and constant velocity give it the same log
+        roster = ("format: scenex-roster\nversion: 1\nmodels:\n"
+                  "  - {kind: standard}\n  - {kind: risky}\n"
+                  "  - {kind: constant_velocity}\n  - {kind: constant_velocity}\n")
+        cfg, out = write_config(tmp_path, roster=roster)
+        batches = []
+        rendered = []
+        run_enumerated = simulator.run_enumerated
+        write_log = scene_io.write_log
+
+        def recording(*args, **kwargs):
+            batches.append(run_enumerated(*args, **kwargs))
+            return batches[-1]
+
+        def counting(log, path):
+            rendered.append(path)
+            write_log(log, path)
+
+        monkeypatch.setattr(simulator, "run_enumerated", recording)
+        monkeypatch.setattr(scene_io, "write_log", counting)
+        assert main(["enumerate", "--config", str(cfg), "--jobs", "1"]) == EXIT_OK
+        (batch,) = batches
+        digests = {child.log.digest for child in batch.children}
+        assert len(rendered) == len(digests) < 9 < len(batch.children)
+        for child in batch.children:
+            write_log(child.log, tmp_path / "alone.csv")
+            assert (out / "logs" / f"child_{child.index:05d}.csv").read_bytes() == \
+                (tmp_path / "alone.csv").read_bytes()
+
+    def test_rerun_deletes_the_outputs_it_did_not_write(self, tmp_path):
+        # the first run writes 4 logs and a ground-truth table, the second 1
+        # log and none into the same directory
+        cfg, scene, out = tracks_config(tmp_path)
+        scene_io.write_case(1, make_case(n_frames=60).frames, scene / "tracks.csv")
+        assert main(["enumerate", "--config", str(cfg), "--jobs", "1"]) == EXIT_OK
+        assert len(os.listdir(out / "logs")) == 4
+        assert (out / "ground_truth.csv").exists()
+        (tmp_path / "synth").mkdir()
+        synth_cfg, fresh = write_config(tmp_path / "synth")
+        for out_dir in (out, fresh):
+            assert main(["simulate", "--config", str(synth_cfg), "--jobs", "1",
+                         "--n-runs", "1", "--output-dir", str(out_dir)]) == EXIT_OK
+        assert os.listdir(out / "logs") == ["child_00000.csv"]
+        rerun, alone = read_bytes_tree(out), read_bytes_tree(fresh)
+        manifests = [json.loads(tree.pop("manifest.json")) for tree in (rerun, alone)]
+        for manifest in manifests:
+            del manifest["config"]["output_dir"]
+        assert manifests[0] == manifests[1]
+        assert rerun == alone
+        # an analysis written into the run's directory keeps its own table
+        analysis_table = b"table,metric,aggregate,value\r\n1,distance,worst,5.0\r\n"
+        (fresh / "ground_truth.csv").write_bytes(analysis_table)
+        assert main(["simulate", "--config", str(synth_cfg), "--jobs", "1",
+                     "--n-runs", "1", "--output-dir", str(fresh)]) == EXIT_OK
+        assert (fresh / "ground_truth.csv").read_bytes() == analysis_table
 
 
 class TestChildFailures:
@@ -463,6 +526,23 @@ class TestAnalyze:
         sizes = {int(r[2]) for r in rows[1:]}
         assert sizes == {2, 5}
 
+    def test_rerun_deletes_the_tables_it_did_not_write(self, tmp_path, metrics_table):
+        _, rows = read_metric_table(metrics_table)
+        truth = tmp_path / "truth.csv"
+        write_metric_table(truth, [(-1, 0, rows[0][2])])
+        out, fresh = tmp_path / "analysis", tmp_path / "fresh"
+        assert main(["analyze", str(metrics_table), "--out", str(out), "--sizes", "2,5",
+                     "--resamples", "2", "--ground-truth", str(truth)]) == EXIT_OK
+        assert {"convergence.csv", "ground_truth.csv"} <= set(os.listdir(out))
+        for out_dir in (out, fresh):
+            assert main(["analyze", str(metrics_table), "--out",
+                         str(out_dir)]) == EXIT_OK
+        assert read_bytes_tree(out) == read_bytes_tree(fresh)
+        # a run's ground-truth table in the analysis directory is the run's
+        shutil.copyfile(truth, fresh / "ground_truth.csv")
+        assert main(["analyze", str(metrics_table), "--out", str(fresh)]) == EXIT_OK
+        assert (fresh / "ground_truth.csv").read_bytes() == truth.read_bytes()
+
     @pytest.mark.parametrize("option, value", [
         ("--resamples", "0"), ("--resamples", "-2"),
         ("--sizes", "0,5"), ("--sizes", "2,-5"),
@@ -755,3 +835,18 @@ class TestFuzz:
             finally:
                 os.chdir(cwd)
         assert rc in EXIT_CODES and "Traceback" not in err
+
+
+def test_simulation_commands_do_not_load_numpy(tmp_path):
+    cfg, out = write_config(tmp_path, roster=TWO_MODEL_ROSTER)
+    code = ("import sys\n"
+            "from scenex import cli\n"
+            "rc = cli.main(['enumerate', '--config', sys.argv[1], '--jobs', '1'])\n"
+            "print(rc, 'numpy' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(scenex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg)], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["0", "False"]
+    assert len(os.listdir(out / "logs")) == 4

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenex.behavior import ModelSpec
-from scenex.errors import OffMapError
+from scenex.errors import OffMapError, RouteSelectionError
 from scenex.geometry import Polyline
 from scenex.map_model import MapGraph, match_seed_lane, path_for_pose
 from scenex.metrics import (
@@ -346,15 +346,15 @@ def exact(vector):
 
 
 @pytest.fixture
-def pair_context_calls(monkeypatch):
+def frames_folded(monkeypatch):
     calls = []
-    original = MetricEngine.pair_contexts
+    original = MetricEngine.frame_extrema
 
     def counting(self, frame, routes=None):
         calls.append(frame)
         return original(self, frame, routes)
 
-    monkeypatch.setattr(MetricEngine, "pair_contexts", counting)
+    monkeypatch.setattr(MetricEngine, "frame_extrema", counting)
     return calls
 
 
@@ -367,18 +367,18 @@ MEMO_ROSTER = (
 
 class TestFingerprintMemo:
     def test_repeated_log_is_aggregated_once(self, following_scene,
-                                             pair_context_calls):
+                                             frames_folded):
         graph, seed = following_scene
         engine = MetricEngine(graph)
         first = engine.aggregate(ScenarioLog(seed, None, seed.frames))
         first.clear()  # a caller's copy; the stored fingerprint is untouched
         again = engine.aggregate(ScenarioLog(seed, None, seed.frames))
-        assert len(pair_context_calls) == len(seed.frames)
+        assert len(frames_folded) == len(seed.frames)
         assert exact(again) == exact(MetricEngine(graph).aggregate(
             ScenarioLog(seed, None, seed.frames)))
 
     def test_signed_zero_logs_get_their_own_fingerprints(
-            self, following_scene, pair_context_calls, tmp_path):
+            self, following_scene, frames_folded, tmp_path):
         graph, seed = following_scene
 
         def log_with(vy):
@@ -397,7 +397,7 @@ class TestFingerprintMemo:
             tmp_path / "minus.csv").read_bytes()
         engine = MetricEngine(graph)
         vectors = [engine.aggregate(plus), engine.aggregate(minus)]
-        assert len(pair_context_calls) == 2 * 30
+        assert len(frames_folded) == 2 * 30
         for log, vector in zip((plus, minus), vectors):
             assert exact(vector) == exact(MetricEngine(graph).aggregate(log))
 
@@ -546,13 +546,20 @@ def fold_state(draw, graph, track_id):
     return ParticipantState(track_id, "car", x, y, yaw, vx, vy)
 
 
+def flipped_zeros(s):
+    """`s` with the sign of each zero coordinate, yaw and velocity flipped."""
+    x, y, yaw, vx, vy = (-v if v == 0.0 else v for v in (s.x, s.y, s.yaw, s.vx, s.vy))
+    return ParticipantState(s.track_id, s.agent_type, x, y, yaw, vx, vy)
+
+
 def bits_of(extrema):
     return {metric: bits(value) for metric, value in extrema.items()}
 
 
 class TestFoldAgainstOracle:
-    """`frame_extrema` folds each metric's column of pair values once; the
-    oracle keeps a running extremum. Both must give the same floats."""
+    """`frame_extrema` folds the ordered pairs through one scalar kernel per
+    metric; the oracle folds `pair_values` of its own pair contexts into a
+    running extremum. Both must give the same floats."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -569,12 +576,44 @@ class TestFoldAgainstOracle:
                 except OffMapError:
                     pass
         engine = MetricEngine(graph)
-        contexts = engine.pair_contexts(frame, routes)
-        got = engine.frame_extrema(frame, contexts)
+        got = engine.frame_extrema(frame, routes)
         assert set(got) <= set(DEFAULT_METRICS)
+        contexts = oracles.pair_contexts(engine, frame, routes)
         assert bits_of(got) == bits_of(oracles.frame_extrema(engine, frame, contexts))
         assert bits_of(engine.frame_extrema(frame)) == bits_of(
             oracles.frame_extrema(engine, frame))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_one_engine_across_frames_bits(self, data):
+        # each track draws its states from a small pool, so states recur
+        # across frames and later frames read what earlier ones memoised; a
+        # pool also holds a state's twin with the signs of its zeros flipped
+        graph = FOLD_MAPS[data.draw(st.sampled_from(sorted(FOLD_MAPS)))]
+        n = data.draw(st.integers(1, 4))
+        pools = []
+        for tid in range(1, n + 1):
+            pool = data.draw(st.lists(fold_state(graph, tid), min_size=1, max_size=3))
+            pools.append(pool + [flipped_zeros(pool[0])])
+        engine = MetricEngine(graph)
+        for k in range(data.draw(st.integers(2, 8))):
+            frame = SceneFrame(100 * (k + 1), tuple(data.draw(st.sampled_from(pool))
+                                                    for pool in pools))
+            routes = {}  # on the fork's lane A, selector 1 turns onto C
+            for s in frame.states:
+                selector = data.draw(st.sampled_from(["straightest", 0, 1]))
+                try:
+                    lane = match_seed_lane(graph, s, selector)
+                    path_for_pose(graph, s.x, s.y, s.yaw, selector, seed_lane=lane)
+                except (OffMapError, RouteSelectionError):
+                    continue
+                if lane is not None:
+                    routes[s.track_id] = (selector, lane)
+            contexts = oracles.pair_contexts(MetricEngine(graph), frame, routes)
+            assert context_bits(engine.pair_contexts(frame, routes)) == \
+                context_bits(contexts)
+            assert bits_of(engine.frame_extrema(frame, routes)) == bits_of(
+                oracles.frame_extrema(engine, frame, contexts))
 
     def test_crossing_grid(self):
         # both participants ahead of the conflict point on most of the grid

@@ -459,3 +459,76 @@ class TestPlanMemo:
                     0, "standard", "OverflowError")
                 assert child.assignment.mapping[child.track_id] == overflow
             assert_children_run_alone(batch, seed)
+
+
+@pytest.fixture
+def child_runs(monkeypatch):
+    """The assignments `run_child` simulates in this process."""
+    runs = []
+    original = simulator.run_child
+
+    def counting(seed, assignment, *args, **kwargs):
+        runs.append(assignment)
+        return original(seed, assignment, *args, **kwargs)
+
+    monkeypatch.setattr(simulator, "run_child", counting)
+    return runs
+
+
+def spec_tuple(seed, assignment):
+    return tuple(assignment.mapping[tid] for tid in seed.track_ids)
+
+
+def child_bits(batch):
+    return [(c.index, c.assignment, c.log and c.log.digest, c.error, c.track_id,
+             c.step, c.model_kind, c.error_class) for c in batch.children]
+
+
+class TestDistinctAssignments:
+    """A batch simulates each distinct tuple of specs once; a repeat gets the
+    first child's frames, or its failure, under its own index and assignment."""
+
+    def test_equal_roster_slots_run_once(self, following_scene, roster6, child_runs):
+        _, seed = following_scene
+        batch = run_enumerated(seed, roster6)
+        # the two replay slots are equal specs: 5 distinct per vehicle
+        assert len(child_runs) == len({spec_tuple(seed, a) for a in child_runs}) == 25
+        assert [c.index for c in batch.children] == list(range(36))
+        for child in batch.children:
+            assert child.log.assignment is child.assignment
+            assert child.log.seed is seed
+        assert_children_run_alone(batch, seed)
+
+    def test_sampled_repeats_run_once(self, following_scene, roster6, child_runs):
+        _, seed = following_scene
+        batch = run_batch(seed, roster6, n_runs=40)
+        distinct = {spec_tuple(seed, c.assignment) for c in batch.children}
+        assert len(child_runs) == len(distinct) < 40
+        assert [c.assignment.run_seed for c in batch.children] == list(range(40))
+        assert_children_run_alone(batch, seed)
+
+    def test_failing_spec_tuple_fails_every_repeat(self, following_scene, child_runs):
+        _, seed = following_scene
+        # v0 = 1e-300 makes (v / v0) ** delta overflow in the IDM law
+        overflow = ModelSpec("standard", params=profile_params("standard", v0=1e-300))
+        roster = [overflow, ModelSpec("constant_velocity"), overflow]
+        batch = run_enumerated(seed, roster)
+        assert len(child_runs) == 4
+        assert batch.n_failed == 8
+        assert [c.index for c in batch.children] == list(range(9))
+        failures = {}
+        for child in batch.failures:
+            failures.setdefault(spec_tuple(seed, child.assignment), set()).add(
+                (child.error, child.track_id, child.step, child.model_kind,
+                 child.error_class))
+        assert len(failures) == 3
+        assert all(len(fields) == 1 for fields in failures.values())
+        assert_children_run_alone(batch, seed)
+
+    def test_jobs_do_not_change_repeats(self, following_scene, roster6):
+        _, seed = following_scene
+        overflow = ModelSpec("risky", params=profile_params("risky", v0=1e-300))
+        roster = roster6 + [overflow, overflow]
+        serial = run_enumerated(seed, roster, jobs=1)
+        assert serial.n_failed > 0
+        assert child_bits(serial) == child_bits(run_enumerated(seed, roster, jobs=2))
