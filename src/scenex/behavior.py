@@ -1,9 +1,8 @@
-"""Behavior models: frozen world view in, planned trajectory out.
+"""Behavior models: the current frame in, planned states out.
 
 Concrete models: Standard Driver and Risky Driver (path following with the
 intelligent-driver acceleration law), Constant Velocity, Emergency Brake,
-and ground-truth Replay. Learned predictors plug in through the same
-ModelSpec/Trajectory contract.
+and ground-truth Replay. Every model plans from the current frame alone.
 """
 from __future__ import annotations
 
@@ -12,7 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 from .errors import ModelError, SchemaError
 from .map_model import Path
-from .scene_io import DT, ParticipantState
+from .scene_io import DT, ParticipantState, SceneFrame
 from .schema import check_fields, is_positive_number, read_document
 
 MODEL_KINDS = ("standard", "risky", "constant_velocity", "emergency_brake", "replay")
@@ -89,28 +88,18 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class WorldView:
-    """Read-only environment snapshot handed to every model."""
+    """What a model plans from: the current frame, its own track id and the
+    number of steps to plan."""
 
-    frames: tuple
+    current: SceneFrame
     self_id: int
     horizon_steps: int
-
-    @property
-    def current(self):
-        return self.frames[-1]
 
     def self_state(self) -> ParticipantState:
         state = self.current.get(self.self_id)
         if state is None:
             raise ModelError(f"track {self.self_id} missing from the current frame")
         return state
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """Planned future states for steps t+1 ... t+horizon."""
-
-    states: tuple
 
 
 def resolve_spec(spec: ModelSpec, initial_speed) -> ModelSpec:
@@ -160,14 +149,15 @@ def idm_accel(p: IdmParams, v, s_net=math.inf, delta_v=0.0) -> float:
     return min(max(a, -HARD_BRAKE_DECEL), p.a_max)
 
 
-def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path) -> Trajectory:
-    """Forward-integrate speed along a fixed path.
+def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path | None) -> tuple:
+    """Planned states for steps t+1 ... t+horizon, speed forward-integrated
+    along a fixed path.
 
     Other participants are frozen at their current state for the whole
     planning horizon; reactivity comes from replanning. Past the path end
-    the vehicle continues along the last tangent; a path without a
-    centerline is driven straight along the current yaw. An IDM spec
-    without v0 is completed by `resolve_spec` at the current speed.
+    the vehicle continues along the last tangent. Without a map there is no
+    path (None), and the vehicle drives straight along its current yaw. An
+    IDM spec without v0 is completed by `resolve_spec` at the current speed.
     """
     if spec.kind == "replay":
         raise ModelError("replay models plan via plan_replay")
@@ -180,22 +170,23 @@ def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path) -> Trajectory
             params = resolve_spec(spec, v).params
 
     neighbours = ()
-    polyline = path.polyline
-    degenerate = polyline is None
+    degenerate = path is None
     if degenerate:
         s = 0.0
         yaw = me.yaw
-    elif idm:
-        states = view.current.states
-        project = polyline.project
-        projections = [project(other.x, other.y) for other in states]
-        s = projections[states.index(me)][0]
-        neighbours = path_neighbours(view.self_id, states, projections)
-        # nearest first, so the first one ahead leads; equal stations
-        # put the slower, then the shorter vehicle first
-        neighbours.sort(key=lambda e: (e[0], e[1].speed, e[1].length))
     else:
-        s = polyline.project(me.x, me.y)[0]
+        polyline = path.polyline
+        if idm:
+            states = view.current.states
+            project = polyline.project
+            projections = [project(other.x, other.y) for other in states]
+            s = projections[states.index(me)][0]
+            neighbours = path_neighbours(view.self_id, states, projections)
+            # nearest first, so the first one ahead leads; equal stations
+            # put the slower, then the shorter vehicle first
+            neighbours.sort(key=lambda e: (e[0], e[1].speed, e[1].length))
+        else:
+            s = polyline.project(me.x, me.y)[0]
 
     states = []
     for _ in range(view.horizon_steps):
@@ -226,11 +217,11 @@ def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path) -> Trajectory
             v1 * math.cos(th), v1 * math.sin(th), me.length, me.width,
         ))
         v, s = v1, s1
-    return Trajectory(tuple(states))
+    return tuple(states)
 
 
-def plan_replay(view: WorldView, recorded, current_index) -> Trajectory:
-    """Return the recorded future verbatim; hold the last state when the
+def plan_replay(view: WorldView, recorded, current_index) -> tuple:
+    """The recorded future states, verbatim; hold the last state when the
     recording ends (constant position, zero speed)."""
     base = None
     for idx in range(min(current_index, len(recorded) - 1), -1, -1):
@@ -251,7 +242,7 @@ def plan_replay(view: WorldView, recorded, current_index) -> Trajectory:
             if held is None:
                 held = replace(base, vx=0.0, vy=0.0)
             states.append(held)
-    return Trajectory(tuple(states))
+    return tuple(states)
 
 
 # field annotations of a roster entry and of its IDM `params`

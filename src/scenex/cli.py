@@ -41,7 +41,7 @@ class RunConfig:
     replan_interval: int = simulator.SimConfig.replan_interval
     horizon_steps: int = simulator.SimConfig.horizon_steps
     rng_seed: int = simulator.SimConfig.rng_seed
-    history_len: int = simulator.SimConfig.history_len
+    history_len: int = scene_io.DEFAULT_HISTORY_LEN
     pttc_decel: float = metrics.DEFAULT_PTTC_DECEL
     wttc_accel: float = metrics.DEFAULT_WTTC_ACCEL
     route_horizon: float = simulator.SimConfig.route_horizon
@@ -76,6 +76,9 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: exactly one of 'tracks' and 'synth' must be present")
     if cfg.tracks is not None and cfg.map is None:
         raise ConfigError(f"{path}: field 'map' is required with a tracks source")
+    if not 1 <= cfg.history_len <= scene_io.MAX_STEPS:
+        raise ConfigError(f"{path}: history_len must be in 1..{scene_io.MAX_STEPS}, "
+                          f"got {cfg.history_len}")
     if cfg.n_runs < 1:
         raise ConfigError(f"{path}: n_runs must be >= 1")
     if not 1 <= cfg.enumeration_cap <= simulator.MAX_ENUMERATION_CAP:
@@ -243,7 +246,22 @@ def _write_columns_csv(path, columns) -> None:
         for i in range(n)))
 
 
+# every file `analyze` writes, or deletes as stale, in its --out directory
+ANALYZE_OUTPUTS = ("density.csv", "cumulative.csv", "thresholds.csv",
+                   "convergence.csv", "ground_truth.csv")
+
+
 def cmd_analyze(args) -> int:
+    if len(args.ground_truth) > len(args.tables):
+        raise ConfigError(f"--ground-truth got {len(args.ground_truth)} tables for "
+                          f"{len(args.tables)} TABLES; give at most one per table")
+    for name in ANALYZE_OUTPUTS:
+        target = os.path.join(args.out, name)
+        for given in (*args.tables, *args.ground_truth):
+            if os.path.exists(target) and os.path.exists(given) \
+                    and os.path.samefile(target, given):
+                raise ConfigError(f"--out {args.out}: analyze writes {name} there, "
+                                  f"which is the input {given}")
     if not is_positive_number(args.bandwidth):
         raise ConfigError(f"--bandwidth must be a finite number > 0, got {args.bandwidth}")
     if args.resamples < 1:
@@ -345,12 +363,6 @@ def _parse_sizes(text):
         raise argparse.ArgumentTypeError("sizes must be comma-separated integers")
 
 
-def _available_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scenex",
@@ -363,9 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
                         ("enumerate", "run all possible model assignments")):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", required=True, help="run configuration YAML")
-        p.add_argument("--jobs", type=int, default=_available_cpus(),
+        p.add_argument("--jobs", type=int, default=simulator.available_cpus(),
                        help="worker processes, >= 1 (results are identical for "
-                            "any value; default: the CPUs this process may use)")
+                            "any value; default: the CPUs this process may use; "
+                            "never more than those CPUs or the distinct children)")
         p.add_argument("--n-runs", type=int, default=None)
         p.add_argument("--rng-seed", type=int, default=None)
         p.add_argument("--output-dir", default=None)

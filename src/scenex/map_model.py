@@ -41,20 +41,13 @@ class Lane:
 
 
 class Path:
-    """Arc-length-parametrized centerline derived from a route.
-
-    A path without a centerline (no map) has `polyline` None.
-    """
+    """Arc-length-parametrized centerline derived from a route."""
 
     __slots__ = ("polyline", "source_route")
 
     def __init__(self, polyline, source_route=()):
         self.polyline = polyline
         self.source_route = tuple(source_route)
-
-
-# the one path of every pose on a seed without a map
-_NO_MAP_PATH = Path(None)
 
 
 class MapGraph:
@@ -276,8 +269,6 @@ def path_intersection(a: Path, b: Path):
     Returns ((x, y), station_a, station_b) or None. Collinear overlap is not
     a crossing.
     """
-    if a.polyline is None or b.polyline is None:
-        return None
     pa, pb = a.polyline, b.polyline
     for i in range(len(pa.cum) - 1):
         best = None
@@ -313,12 +304,12 @@ def path_for_pose(graph, x, y, yaw, selector="straightest",
 
     An integer `selector` applies only while the pose matches `seed_lane`
     (see `match_seed_lane`; None applies it on any lane); past the seed lane
-    the straightest route is taken. Without a map the path has no centerline
+    the straightest route is taken. Without a map there is no path (None),
     and path followers drive straight along their yaw. One lane and selector
     always give the same `Path` object.
     """
     if graph is None:
-        return _NO_MAP_PATH
+        return None
     lane_id, _, _ = match_to_lane(graph, x, y, yaw)
     if seed_lane is not None and lane_id != seed_lane:
         selector = "straightest"

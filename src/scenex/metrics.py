@@ -211,11 +211,7 @@ class MetricEngine:
                                  selector, self.route_horizon, seed_lane)
         except OffMapError:
             path = None
-        station = None
-        if path is not None and path.polyline is not None:
-            station = self._project(path, state, bits)[0]
-        else:
-            path = None
+        station = None if path is None else self._project(path, state, bits)[0]
         return path, station, state.speed, effective_radius(state)
 
     def _frame(self, frame, routes):

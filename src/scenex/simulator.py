@@ -1,15 +1,15 @@
 """Closed-loop child-scenario execution.
 
 A run assigns one behavior model per participant, replans every
-`replan_interval` steps from an identical frozen world view, advances all
-participants along their cached trajectories at 10 Hz, and logs every frame.
+`replan_interval` steps from the current frame, advances all participants
+along their planned states at 10 Hz, and logs every frame.
 Batches derive per-child seeds from the batch seed so results are
 independent of scheduling and worker count.
 """
 from __future__ import annotations
 
 import hashlib
-from collections import deque
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -17,7 +17,6 @@ from .behavior import WorldView, plan_path_follow, plan_replay, resolve_spec
 from .errors import ChildRunError, EnumerationCapError, ScenexError
 from .map_model import DEFAULT_ROUTE_HORIZON, match_seed_lane, path_for_pose
 from .scene_io import (
-    DEFAULT_HISTORY_LEN,
     FRAME_PERIOD_MS,
     MAX_STEPS,
     SceneFrame,
@@ -38,7 +37,6 @@ class SimConfig:
     horizon_steps: int = 30
     replan_interval: int = 5
     rng_seed: int = 0
-    history_len: int = DEFAULT_HISTORY_LEN
     route_horizon: float = DEFAULT_ROUTE_HORIZON
 
     def __post_init__(self):
@@ -46,8 +44,6 @@ class SimConfig:
             raise ValueError(f"horizon_steps must be in 1..{MAX_STEPS}")
         if not 1 <= self.replan_interval <= self.horizon_steps:
             raise ValueError("replan_interval must be in 1..horizon_steps")
-        if not 1 <= self.history_len <= MAX_STEPS:
-            raise ValueError(f"history_len must be in 1..{MAX_STEPS}")
 
 
 @dataclass(frozen=True)
@@ -130,9 +126,9 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
     """Simulate one child-scenario under a fixed model assignment.
 
     Replay models follow `recorded` (the full case frames); without a
-    recording they hold their seed state. All models plan from the same
-    frozen history window, each for the `replan_interval` steps used before
-    the next replan.
+    recording they hold their seed state. All models plan from the current
+    frame, each for the `replan_interval` steps used before the next replan;
+    the seed's earlier frames are never read.
 
     `plan_memo` is a dict shared by the children of one batch: a path
     follower's path and plan are computed once per distinct (track, resolved
@@ -154,46 +150,43 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
 
     if plan_memo is None:
         plan_memo = {}
-    history = deque(seed.frames[-cfg.history_len:], maxlen=cfg.history_len)
     seed_lanes = {}
     plans = {}
     plan_step = 0
+    frame = current
     ts = current.timestamp_ms
     out = []
 
     for step in range(cfg.horizon_steps):
         if step % cfg.replan_interval == 0:
-            frames = tuple(history)
-            now = states_key(frames[-1])
+            now = states_key(frame)
             for tid in ids:
                 spec = resolved[tid]
-                view = WorldView(frames, tid, cfg.replan_interval)
                 try:
                     if spec.kind == "replay":
-                        traj = plan_replay(view, rec_frames, base_index + step)
+                        plan = plan_replay(WorldView(frame, tid, cfg.replan_interval),
+                                           rec_frames, base_index + step)
                     else:
-                        me = frames[-1].get(tid)
+                        me = frame.get(tid)
                         if step == 0:
                             seed_lanes[tid] = match_seed_lane(
                                 seed.map_graph, me, spec.route_selector)
                         key = (tid, spec, now, seed.map_graph, seed_lanes[tid],
                                cfg.route_horizon, cfg.replan_interval)
-                        traj = plan_memo.get(key)
-                        if traj is None:
+                        plan = plan_memo.get(key)
+                        if plan is None:
                             path = path_for_pose(
                                 seed.map_graph, me.x, me.y, me.yaw, spec.route_selector,
                                 cfg.route_horizon, seed_lanes[tid],
                             )
-                            traj = plan_memo[key] = plan_path_follow(view, spec, path)
+                            plan = plan_memo[key] = plan_path_follow(
+                                WorldView(frame, tid, cfg.replan_interval), spec, path)
                 except Exception as exc:
                     raise ChildRunError(tid, step, spec.kind, str(exc)) from exc
-                plans[tid] = traj
+                plans[tid] = plan
             plan_step = step
         ts += FRAME_PERIOD_MS
-        frame = SceneFrame(
-            ts, tuple(plans[tid].states[step - plan_step] for tid in ids)
-        )
-        history.append(frame)
+        frame = SceneFrame(ts, tuple(plans[tid][step - plan_step] for tid in ids))
         out.append(frame)
     return ScenarioLog(seed, assignment, tuple(out))
 
@@ -265,13 +258,22 @@ def _worker(args):
                     _WORKER_CTX["recorded"], index, _WORKER_CTX["plan_memo"])
 
 
+def available_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _execute(seed, cfg, recorded, tasks, jobs) -> BatchResult:
     """Run the (index, assignment) `tasks`, each distinct assignment once.
 
     `run_child` reads nothing of an assignment but each participant's
     `ModelSpec`, so a task whose specs equal an earlier task's gets that
     child's frames, or its failure, under its own index and assignment.
-    Only the first task of each spec tuple is run, serially or in the pool.
+    Only the first task of each spec tuple is run: in a pool of at most
+    `jobs` workers, no more than there are CPUs or such tasks, or serially
+    when that is one.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -282,9 +284,11 @@ def _execute(seed, cfg, recorded, tasks, jobs) -> BatchResult:
     for key, task in zip(keys, tasks):
         firsts.setdefault(key, task)
     distinct = list(firsts.values())
-    if jobs > 1:
+    # the pool starts all its workers at the first task
+    workers = min(jobs, available_cpus(), len(distinct))
+    if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker,
+            max_workers=workers, initializer=_init_worker,
             initargs=(seed, cfg, recorded),
         ) as pool:
             results = list(pool.map(_worker, distinct, chunksize=64))

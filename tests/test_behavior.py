@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scenex.behavior import (
     IdmParams,
     ModelSpec,
-    Trajectory,
     WorldView,
     idm_accel,
     leaders_ahead,
@@ -29,7 +28,7 @@ def state(tid, x, y=0.0, yaw=0.0, vx=0.0, vy=0.0, length=4.5, width=1.8):
 
 def view_of(states, self_id, horizon_steps=30):
     frame = SceneFrame(1000, tuple(states))
-    return WorldView((frame,), self_id, horizon_steps)
+    return WorldView(frame, self_id, horizon_steps)
 
 
 @pytest.fixture
@@ -143,8 +142,8 @@ class TestPlanPathFollow:
     def test_constant_velocity_stations(self, main_path):
         view = view_of([state(1, 0.0, vx=10.0)], 1)
         traj = plan_path_follow(view, ModelSpec("constant_velocity"), main_path)
-        assert len(traj.states) == 30
-        for k, s in enumerate(traj.states, start=1):
+        assert len(traj) == 30
+        for k, s in enumerate(traj, start=1):
             assert s.x == pytest.approx(1.0 * k)
             assert s.speed == pytest.approx(10.0)
 
@@ -153,16 +152,16 @@ class TestPlanPathFollow:
         traj = plan_path_follow(view, ModelSpec("emergency_brake"), main_path)
         # v(k) = 10 - 0.5 k until rest at step 20; trapezoid distance = 10 m
         for k in range(20):
-            assert traj.states[k].speed == pytest.approx(10.0 - 0.5 * (k + 1))
-        assert traj.states[19].speed == 0.0
-        assert traj.states[29].speed == 0.0
-        assert traj.states[29].x == pytest.approx(10.0)
+            assert traj[k].speed == pytest.approx(10.0 - 0.5 * (k + 1))
+        assert traj[19].speed == 0.0
+        assert traj[29].speed == 0.0
+        assert traj[29].x == pytest.approx(10.0)
 
     def test_idm_free_flow_approaches_v0(self, main_path):
         view = view_of([state(1, 0.0, vx=2.0)], 1, horizon_steps=300)
         spec = ModelSpec("standard", params=profile_params("standard", v0=12.0))
         traj = plan_path_follow(view, spec, main_path)
-        speeds = [s.speed for s in traj.states]
+        speeds = [s.speed for s in traj]
         assert speeds == sorted(speeds)
         assert speeds[-1] == pytest.approx(12.0, abs=0.05)
 
@@ -170,8 +169,8 @@ class TestPlanPathFollow:
         view = view_of([state(1, 10.0, vx=10.0), state(2, 16.0, vx=0.0)], 1)
         spec = ModelSpec("risky", params=profile_params("risky", v0=10.0))
         traj = plan_path_follow(view, spec, main_path)
-        assert all(s.speed >= 0.0 for s in traj.states)
-        xs = [s.x for s in traj.states]
+        assert all(s.speed >= 0.0 for s in traj)
+        xs = [s.x for s in traj]
         assert xs == sorted(xs)
 
     def test_kinematic_consistency(self, main_path):
@@ -179,15 +178,15 @@ class TestPlanPathFollow:
         spec = ModelSpec("standard", params=profile_params("standard", v0=14.0))
         traj = plan_path_follow(view, spec, main_path)
         prev_x, prev_v = 0.0, 8.0
-        for s in traj.states:
+        for s in traj:
             assert s.x - prev_x == pytest.approx(0.05 * (prev_v + s.speed), abs=1e-9)
             prev_x, prev_v = s.x, s.speed
 
     def test_extrapolates_past_path_end(self, main_path):
         view = view_of([state(1, 99.0, vx=10.0)], 1)
         traj = plan_path_follow(view, ModelSpec("constant_velocity"), main_path)
-        assert traj.states[-1].x == pytest.approx(129.0)
-        assert traj.states[-1].yaw == pytest.approx(0.0)
+        assert traj[-1].x == pytest.approx(129.0)
+        assert traj[-1].yaw == pytest.approx(0.0)
 
     @pytest.mark.parametrize("kind, projected", [
         ("standard", [1, 2, 3]), ("constant_velocity", [1])])
@@ -236,7 +235,7 @@ class TestPlanPrefix:
         spec = ModelSpec(kind)
         full = plan_path_follow(view_of(states, 1, 30), spec, self.PATH)
         short = plan_path_follow(view_of(states, 1, k), spec, self.PATH)
-        assert short.states == full.states[:k]
+        assert short == full[:k]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -252,7 +251,7 @@ class TestPlanPrefix:
         me = [rec[current].states[0]]
         full = plan_replay(view_of(me, 1, 30), rec, current)
         short = plan_replay(view_of(me, 1, k), rec, current)
-        assert short.states == full.states[:k]
+        assert short == full[:k]
 
 
 class TestPlanReplay:
@@ -264,15 +263,15 @@ class TestPlanReplay:
         rec = self.make_recording()
         view = view_of([state(1, 9.0, vx=10.0)], 1)
         traj = plan_replay(view, rec, current_index=9)
-        assert len(traj.states) == 30
-        assert [s.x for s in traj.states] == [float(i) for i in range(10, 40)]
+        assert len(traj) == 30
+        assert [s.x for s in traj] == [float(i) for i in range(10, 40)]
 
     def test_holds_last_state_beyond_recording(self):
         rec = self.make_recording(n=15)
         view = view_of([state(1, 9.0, vx=10.0)], 1)
         traj = plan_replay(view, rec, current_index=9)
-        assert traj.states[4].x == 14.0
-        for s in traj.states[5:]:
+        assert traj[4].x == 14.0
+        for s in traj[5:]:
             assert s.x == 14.0
             assert s.speed == 0.0
 
@@ -391,6 +390,7 @@ class TestRoster:
 def test_trajectory_is_plain_data(main_path):
     view = view_of([state(1, 0.0, vx=5.0)], 1)
     traj = plan_path_follow(view, ModelSpec("constant_velocity"), main_path)
-    assert isinstance(traj, Trajectory)
+    assert isinstance(traj, tuple)
+    assert all(isinstance(s, ParticipantState) for s in traj)
     again = plan_path_follow(view, ModelSpec("constant_velocity"), main_path)
     assert traj == again  # planning is pure

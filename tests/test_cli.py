@@ -543,6 +543,33 @@ class TestAnalyze:
         assert main(["analyze", str(metrics_table), "--out", str(fresh)]) == EXIT_OK
         assert (fresh / "ground_truth.csv").read_bytes() == truth.read_bytes()
 
+    @pytest.mark.parametrize("name, role", [
+        ("ground_truth.csv", "ground-truth"), ("density.csv", "table"),
+        ("logs/../thresholds.csv", "table")])
+    def test_never_overwrites_its_input(self, capsys, metrics_table, name, role):
+        out = metrics_table.parent
+        given = out / name
+        shutil.copyfile(metrics_table, given)
+        before = read_bytes_tree(out)
+        if role == "table":
+            argv = [str(given)]
+        else:
+            argv = [str(metrics_table), "--ground-truth", str(given)]
+        assert main(["analyze", *argv, "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{os.path.basename(name)} there, which is the input {given}" in err
+        assert "Traceback" not in err
+        assert read_bytes_tree(out) == before
+
+    def test_more_ground_truth_tables_than_tables_rejected(self, tmp_path, capsys,
+                                                           metrics_table):
+        out = tmp_path / "analysis"
+        assert main(["analyze", str(metrics_table), "--out", str(out),
+                     "--ground-truth", str(metrics_table),
+                     str(tmp_path / "does-not-exist.csv")]) == EXIT_VALIDATION
+        assert "got 2 tables for 1 TABLES" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("option, value", [
         ("--resamples", "0"), ("--resamples", "-2"),
         ("--sizes", "0,5"), ("--sizes", "2,-5"),

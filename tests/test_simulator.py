@@ -64,7 +64,7 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(horizon_steps=0)
 
-    @pytest.mark.parametrize("field", ["horizon_steps", "history_len"])
+    @pytest.mark.parametrize("field", ["horizon_steps"])
     def test_step_counts_bounded(self, field):
         SimConfig(**{field: MAX_STEPS, "replan_interval": 1})
         for value in (MAX_STEPS + 1, 10 ** 30):
@@ -209,10 +209,10 @@ class TestRunChild:
         spec = ModelSpec("standard")
         log = run_child(seed, simulator.Assignment({1: spec}, ("sampled", 0)))
         simulated = log.frames[-1].get(1).speed
-        direct = plan_path_follow(WorldView(seed.frames, 1, 30), spec,
+        direct = plan_path_follow(WorldView(seed.current, 1, 30), spec,
                                   straight_map.lane_path("main"))
         assert simulated == pytest.approx(6.13, abs=0.005)
-        assert direct.states[-1].speed == pytest.approx(simulated, rel=1e-9)
+        assert direct[-1].speed == pytest.approx(simulated, rel=1e-9)
 
     def test_replan_interval_changes_reactivity(self, following_scene):
         _, seed = following_scene
@@ -532,3 +532,85 @@ class TestDistinctAssignments:
         serial = run_enumerated(seed, roster, jobs=1)
         assert serial.n_failed > 0
         assert child_bits(serial) == child_bits(run_enumerated(seed, roster, jobs=2))
+
+
+class TestCurrentFrameOnly:
+    """A child depends on the seed's current frame alone, as the plan memo's
+    key does: a seed of that one frame gives the same child."""
+
+    @staticmethod
+    def assert_same_child(seed, mapping, recorded=None):
+        assert len(seed.frames) > 1
+        a = simulator.Assignment(mapping, ("sampled", 0))
+        full = run_child(seed, a, recorded=recorded)
+        alone = run_child(SeedScene(seed.map_graph, (seed.current,), seed.case_id), a,
+                          recorded=recorded)
+        assert alone.frames == full.frames
+        assert alone.digest == full.digest
+
+    @pytest.mark.parametrize("kind", ["standard", "risky", "constant_velocity",
+                                      "emergency_brake", "replay"])
+    def test_each_kind(self, following_scene, kind):
+        _, seed = following_scene
+        self.assert_same_child(seed, {tid: ModelSpec(kind) for tid in seed.track_ids})
+
+    def test_replay_of_a_recording(self):
+        case = replay_case()
+        seed = extract_seed(case, 9)
+        self.assert_same_child(seed, {tid: ModelSpec("replay") for tid in seed.track_ids},
+                               recorded=case.frames)
+
+    def test_route_selector_on_a_fork(self, t_junction_map):
+        seed = seed_of(t_junction_map, (1, 30.0, 0.0, 0.0, 10.0),
+                       (2, 45.0, 0.0, 0.0, 6.0))
+        self.assert_same_child(seed, {1: ModelSpec("standard", route_selector=1),
+                                      2: ModelSpec("risky", route_selector=0)})
+
+
+class StubPool:
+    """Stands in for `ProcessPoolExecutor`: records `max_workers` and runs the
+    tasks in this process, one worker's state for all of them."""
+
+    started = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.started.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        simulator._WORKER_CTX.clear()
+
+    def map(self, fn, tasks, chunksize=1):
+        return [fn(task) for task in tasks]
+
+
+class TestPoolBound:
+    @pytest.fixture
+    def started(self, monkeypatch):
+        monkeypatch.setattr(simulator, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(StubPool, "started", [])
+        return StubPool.started
+
+    @pytest.mark.parametrize("jobs, cpus, workers", [
+        (100_000, 64, 9), (100_000, 4, 4), (3, 64, 3), (2, 2, 2), (100_000, 1, None),
+        (1, 64, None)])
+    def test_workers_bounded_by_cpus_and_distinct_children(
+            self, following_scene, monkeypatch, started, jobs, cpus, workers):
+        _, seed = following_scene
+        roster = [ModelSpec("standard"), ModelSpec("constant_velocity"),
+                  ModelSpec("emergency_brake"), ModelSpec("standard")]
+        monkeypatch.setattr(simulator, "available_cpus", lambda: cpus)
+        batch = run_enumerated(seed, roster, jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        assert len(batch.children) == 16  # 9 distinct assignments
+        serial = run_enumerated(seed, roster, jobs=1)
+        assert [c.log.digest for c in batch.children] == \
+            [c.log.digest for c in serial.children]
+
+    def test_one_distinct_child_runs_serially(self, following_scene, started):
+        _, seed = following_scene
+        run_batch(seed, [ModelSpec("constant_velocity")], n_runs=50, jobs=100_000)
+        assert started == []
