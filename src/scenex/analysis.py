@@ -181,4 +181,4 @@ def ground_truth_overlay(seed_scene, recorded, cfg: SimConfig,
         ("sampled", cfg.rng_seed),
     )
     log = run_child(seed_scene, assignment, cfg, recorded=recorded)
-    return engine.aggregate(log)
+    return engine.aggregate(log, assignment)

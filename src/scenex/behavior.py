@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .errors import ModelError, SchemaError
-from .map_model import Path
+from .geometry import Polyline
 from .scene_io import DT, ParticipantState, SceneFrame
 from .schema import check_fields, is_positive_number, read_document
 
@@ -149,9 +149,9 @@ def idm_accel(p: IdmParams, v, s_net=math.inf, delta_v=0.0) -> float:
     return min(max(a, -HARD_BRAKE_DECEL), p.a_max)
 
 
-def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path | None) -> tuple:
+def plan_path_follow(view: WorldView, spec: ModelSpec, path: Polyline | None) -> tuple:
     """Planned states for steps t+1 ... t+horizon, speed forward-integrated
-    along a fixed path.
+    along a fixed path, the centerline of the participant's route.
 
     Other participants are frozen at their current state for the whole
     planning horizon; reactivity comes from replanning. Past the path end
@@ -175,10 +175,9 @@ def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path | None) -> tup
         s = 0.0
         yaw = me.yaw
     else:
-        polyline = path.polyline
         if idm:
             states = view.current.states
-            project = polyline.project
+            project = path.project
             projections = [project(other.x, other.y) for other in states]
             s = projections[states.index(me)][0]
             neighbours = path_neighbours(view.self_id, states, projections)
@@ -186,7 +185,7 @@ def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path | None) -> tup
             # put the slower, then the shorter vehicle first
             neighbours.sort(key=lambda e: (e[0], e[1].speed, e[1].length))
         else:
-            s = polyline.project(me.x, me.y)[0]
+            s = path.project(me.x, me.y)[0]
 
     states = []
     for _ in range(view.horizon_steps):
@@ -210,8 +209,8 @@ def plan_path_follow(view: WorldView, spec: ModelSpec, path: Path | None) -> tup
             y = me.y + s1 * math.sin(yaw)
             th = yaw
         else:
-            x, y = polyline.point_at(s1, extrapolate=True)
-            th = polyline.tangent_at(s1)
+            x, y = path.point_at(s1, extrapolate=True)
+            th = path.tangent_at(s1)
         states.append(ParticipantState(
             me.track_id, me.agent_type, x, y, th,
             v1 * math.cos(th), v1 * math.sin(th), me.length, me.width,

@@ -76,6 +76,9 @@ def load_run_config(path) -> RunConfig:
         raise ConfigError(f"{path}: exactly one of 'tracks' and 'synth' must be present")
     if cfg.tracks is not None and cfg.map is None:
         raise ConfigError(f"{path}: field 'map' is required with a tracks source")
+    if cfg.synth is not None and "history_len" in (cfg.synth.get("params") or {}):
+        raise ConfigError(f"{path}: field 'synth.params.history_len' is not read in a "
+                          "run config; set the top-level 'history_len' instead")
     if not 1 <= cfg.history_len <= scene_io.MAX_STEPS:
         raise ConfigError(f"{path}: history_len must be in 1..{scene_io.MAX_STEPS}, "
                           f"got {cfg.history_len}")
@@ -113,7 +116,7 @@ def _metric_rows(engine, batch):
     for child in batch.children:
         if child.ok:
             rows.append((child.index, child.assignment.run_seed,
-                         engine.aggregate(child.log)))
+                         engine.aggregate(child.log, child.assignment)))
     return rows
 
 
@@ -199,15 +202,16 @@ def _write_outputs(cfg, batch, engine, seed, recorded, mode):
 
 def _run_simulation(args, mode) -> int:
     cfg = load_run_config(args.config)
-    if args.n_runs is not None:
-        cfg.n_runs = args.n_runs
     if args.rng_seed is not None:
         cfg.rng_seed = args.rng_seed
     if args.output_dir is not None:
         cfg.output_dir = args.output_dir
-    if mode == "simulate" and cfg.n_runs > cfg.enumeration_cap:
-        raise ConfigError(f"n_runs must be <= enumeration_cap ({cfg.enumeration_cap}), "
-                          f"got {cfg.n_runs}")
+    if mode == "simulate":
+        if args.n_runs is not None:
+            cfg.n_runs = args.n_runs
+        if cfg.n_runs > cfg.enumeration_cap:
+            raise ConfigError(f"n_runs must be <= enumeration_cap "
+                              f"({cfg.enumeration_cap}), got {cfg.n_runs}")
     sim_cfg = cfg.sim_config()
     graph, seed, recorded = _build_scene(cfg)
     roster = load_roster(cfg.roster)
@@ -379,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes, >= 1 (results are identical for "
                             "any value; default: the CPUs this process may use; "
                             "never more than those CPUs or the distinct children)")
-        p.add_argument("--n-runs", type=int, default=None)
+        if name == "simulate":
+            p.add_argument("--n-runs", type=int, default=None)
         p.add_argument("--rng-seed", type=int, default=None)
         p.add_argument("--output-dir", default=None)
 

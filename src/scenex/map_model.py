@@ -40,16 +40,6 @@ class Lane:
     successors: tuple
 
 
-class Path:
-    """Arc-length-parametrized centerline derived from a route."""
-
-    __slots__ = ("polyline", "source_route")
-
-    def __init__(self, polyline, source_route=()):
-        self.polyline = polyline
-        self.source_route = tuple(source_route)
-
-
 class MapGraph:
     """Immutable lane graph; all queries are read-only.
 
@@ -59,7 +49,8 @@ class MapGraph:
 
     def __init__(self, lanes):
         self._lanes = {}
-        self._paths = {}
+        self._paths = {}        # (lane, selector, horizon) -> centerline
+        self._centerlines = {}  # route -> centerline
         for lane in lanes:
             if lane.lane_id in self._lanes:
                 raise MapFormatError(f"duplicate lane id {lane.lane_id!r}")
@@ -96,17 +87,20 @@ class MapGraph:
         return len(self._lanes)
 
     def lane_path(self, lane_id, selector="straightest",
-                  horizon=DEFAULT_ROUTE_HORIZON) -> Path:
-        """Path of a lane: its routes from the lane start, one picked by
-        `selector` relative to the lane's start tangent, as one centerline.
+                  horizon=DEFAULT_ROUTE_HORIZON) -> Polyline:
+        """Centerline of the route from the start of `lane_id` that `selector`
+        picks relative to the lane's start tangent.
 
-        Memoized per (lane, selector, horizon); the graph never changes.
+        Memoized per (lane, selector, horizon), and selectors that pick the
+        same route get the same `Polyline`; the graph never changes.
         """
         key = (lane_id, selector, horizon)
         path = self._paths.get(key)
         if path is None:
-            routes = enumerate_routes(self, lane_id, horizon)
-            path = route_centerline(self, select_route(self, routes, selector))
+            route = select_route(self, enumerate_routes(self, lane_id, horizon), selector)
+            path = self._centerlines.get(route)
+            if path is None:
+                path = self._centerlines[route] = route_centerline(self, route)
             self._paths[key] = path
         return path
 
@@ -248,7 +242,7 @@ def select_route(graph, routes, selector="straightest"):
     return annotated[index][1]
 
 
-def route_centerline(graph, route) -> Path:
+def route_centerline(graph, route) -> Polyline:
     """Concatenated lane centerlines of a lane-id tuple.
 
     Duplicate junction points are removed and stations are recomputed from 0.
@@ -260,16 +254,15 @@ def route_centerline(graph, route) -> Path:
             if pts and math.hypot(x - pts[-1][0], y - pts[-1][1]) < 1e-9:
                 continue
             pts.append((x, y))
-    return Path(Polyline(pts), route)
+    return Polyline(pts)
 
 
-def path_intersection(a: Path, b: Path):
-    """First crossing of two paths in increasing station order on `a`.
+def path_intersection(pa: Polyline, pb: Polyline):
+    """First crossing of two centerlines in increasing station order on `pa`.
 
     Returns ((x, y), station_a, station_b) or None. Collinear overlap is not
     a crossing.
     """
-    pa, pb = a.polyline, b.polyline
     for i in range(len(pa.cum) - 1):
         best = None
         seg_a = pa.cum[i + 1] - pa.cum[i]
@@ -300,13 +293,14 @@ def match_seed_lane(graph, state, selector):
 
 def path_for_pose(graph, x, y, yaw, selector="straightest",
                   horizon=DEFAULT_ROUTE_HORIZON, seed_lane=None):
-    """Match a pose to a lane and return that lane's path (`lane_path`).
+    """Match a pose to a lane and return that lane's route centerline
+    (`lane_path`).
 
     An integer `selector` applies only while the pose matches `seed_lane`
     (see `match_seed_lane`; None applies it on any lane); past the seed lane
     the straightest route is taken. Without a map there is no path (None),
-    and path followers drive straight along their yaw. One lane and selector
-    always give the same `Path` object.
+    and path followers drive straight along their yaw. One route always
+    gives the same `Polyline` object.
     """
     if graph is None:
         return None

@@ -143,13 +143,14 @@ class MetricEngine:
     of the `DEFAULT_METRICS`.
 
     Each participant is judged on the path the simulator gives it
-    (`path_for_pose` with its route selector, "straightest" without a log);
-    off-map participants contribute to distance and WTTC only.
+    (`path_for_pose` with its route selector in the child's assignment);
+    off-map participants contribute to distance and WTTC only. A path is
+    its route's centerline, one `Polyline` per route.
 
     The engine pays once for each distinct piece of work: a state's path,
     station, speed and radius per exact state (`state_bits`) and route, a
-    state's projection per path and exact state, and a fingerprint per
-    distinct log and routes.
+    state's projection per path and exact state, the crossing of two
+    paths, and a fingerprint per distinct log and routes.
     """
 
     def __init__(self, map_graph, pttc_decel=DEFAULT_PTTC_DECEL,
@@ -158,36 +159,33 @@ class MetricEngine:
         self.pttc_decel = pttc_decel
         self.wttc_accel = wttc_accel
         self.route_horizon = route_horizon
-        self._isect_cache = {}
+        self._isect_cache = {}  # (path, path) -> `path_intersection`
         self._fingerprints = {}
         self._states = {}       # (state bits, route) -> `_state_row`
         self._projections = {}  # path -> {state bits: Polyline.project}
 
-    def _routes(self, log):
+    def _routes(self, seed, assignment):
         """track id -> (route selector, seed lane) for non-default selectors."""
         routes = {}
-        if log.assignment is None:
+        if assignment is None:
             return routes
-        for tid, spec in log.assignment.mapping.items():
-            lane = match_seed_lane(self.map_graph, log.seed.current.get(tid),
+        for tid, spec in assignment.mapping.items():
+            lane = match_seed_lane(self.map_graph, seed.current.get(tid),
                                    spec.route_selector)
             if lane is not None:
                 routes[tid] = (spec.route_selector, lane)
         return routes
 
-    def _conflict(self, path_a, path_b):
-        key = (path_a.source_route, path_b.source_route)
-        if key not in self._isect_cache:
-            self._isect_cache[key] = path_intersection(path_a, path_b)
-        return self._isect_cache[key]
-
     def _crossing(self, path_a, station_a, path_b, station_b):
         """(d_self, d_other) to the paths' conflict point when it lies ahead
-        of both participants, else None."""
-        if path_a is None or path_b is None or \
-                path_a.source_route == path_b.source_route:
+        of both participants, else None. Two participants on one route do
+        not cross."""
+        if path_a is None or path_b is None or path_a is path_b:
             return None
-        hit = self._conflict(path_a, path_b)
+        key = (path_a, path_b)
+        if key not in self._isect_cache:
+            self._isect_cache[key] = path_intersection(path_a, path_b)
+        hit = self._isect_cache[key]
         if hit is None:
             return None
         _, sa, sb = hit
@@ -199,7 +197,7 @@ class MetricEngine:
         on_path = self._projections.setdefault(path, {})
         hit = on_path.get(bits)
         if hit is None:
-            hit = on_path[bits] = path.polyline.project(state.x, state.y)
+            hit = on_path[bits] = path.project(state.x, state.y)
         return hit
 
     def _state_row(self, state, bits, route):
@@ -308,14 +306,16 @@ class MetricEngine:
         extrema = (distance, gap_time, inv_ttc, pttc, wttc)
         return {m: v for m, v in zip(DEFAULT_METRICS, extrema) if v is not None}
 
-    def aggregate(self, log):
-        """Per-scenario fingerprint: worst and mean-of-extrema per metric.
+    def aggregate(self, log, assignment):
+        """Per-scenario fingerprint: worst and mean-of-extrema per metric,
+        each participant on the route its spec in the child's `assignment`
+        selects (None: every participant on its straightest route).
 
         Metrics with no defined frame are absent from the result. A log whose
         exact frames (`ScenarioLog.digest`) and routes were aggregated before
         gets the stored fingerprint.
         """
-        routes = self._routes(log)
+        routes = self._routes(log.seed, assignment)
         key = (log.digest, tuple(sorted(routes.items())))
         vector = self._fingerprints.get(key)
         if vector is None:

@@ -141,10 +141,10 @@ class SeedScene:
 
 @dataclass(frozen=True)
 class ScenarioLog:
-    """One simulated child-scenario: 100 ms frames under one assignment."""
+    """What was simulated from a seed scene: its 100 ms frames. Children
+    whose assignments simulate alike share one log."""
 
     seed: SeedScene
-    assignment: object
     frames: tuple
 
     @cached_property

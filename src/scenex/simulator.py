@@ -188,14 +188,15 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
         ts += FRAME_PERIOD_MS
         frame = SceneFrame(ts, tuple(plans[tid][step - plan_step] for tid in ids))
         out.append(frame)
-    return ScenarioLog(seed, assignment, tuple(out))
+    return ScenarioLog(seed, tuple(out))
 
 
 @dataclass(frozen=True)
 class ChildResult:
     """One child's log, or why it failed: the message, the failing track,
     step and model kind (None when the failure is not one participant's),
-    and the class name of the original exception."""
+    and the class name of the original exception. Children whose specs are
+    equal share one log object."""
 
     index: int
     assignment: Assignment
@@ -266,11 +267,12 @@ def available_cpus() -> int:
 
 
 def _execute(seed, cfg, recorded, tasks, jobs) -> BatchResult:
-    """Run the (index, assignment) `tasks`, each distinct assignment once.
+    """Run the (index, assignment) `tasks`, each distinct assignment once,
+    and return their children in task order.
 
     `run_child` reads nothing of an assignment but each participant's
     `ModelSpec`, so a task whose specs equal an earlier task's gets that
-    child's frames, or its failure, under its own index and assignment.
+    child's log, or its failure, under its own index and assignment.
     Only the first task of each spec tuple is run: in a pool of at most
     `jobs` workers, no more than there are CPUs or such tasks, or serially
     when that is one.
@@ -296,19 +298,8 @@ def _execute(seed, cfg, recorded, tasks, jobs) -> BatchResult:
         plan_memo = {}
         results = [_run_one(seed, a, cfg, recorded, i, plan_memo) for i, a in distinct]
     ran = dict(zip(firsts, results))
-    children = []
-    for key, (index, assignment) in zip(keys, tasks):
-        first = ran[key]
-        if first.index != index:
-            log = None
-            if first.log is not None:
-                log = ScenarioLog(seed, assignment, first.log.frames)
-                # the digest depends on the frames alone; hash them once
-                log.__dict__["digest"] = first.log.digest
-            first = replace(first, index=index, assignment=assignment, log=log)
-        children.append(first)
-    children.sort(key=lambda c: c.index)
-    return BatchResult(tuple(children))
+    return BatchResult(tuple(replace(ran[key], index=index, assignment=assignment)
+                             for key, (index, assignment) in zip(keys, tasks)))
 
 
 def run_batch(seed: SeedScene, roster, n_runs=DEFAULT_N_RUNS,

@@ -4,9 +4,10 @@ for the tests.
 `project` is the segment loop of `Polyline.project` written out from the
 polyline's vertices and stations, `match_to_lane` projects a pose onto every
 lane of the map, and `pair_contexts` projects every state once per state that
-looks for leaders, with none of the engine's memos. `frame_extrema` folds each
-pair's values into a running extremum per metric, and `aggregate` fingerprints
-a log through both without the engine's stored fingerprints. `kde` evaluates
+looks for leaders and intersects the paths of every crossing pair, with none
+of the engine's memos. `frame_extrema` folds each pair's values into a running
+extremum per metric, and `aggregate` fingerprints a log through both, with
+routes of its own and without the engine's stored fingerprints. `kde` evaluates
 one kernel row per sample, and `convergence_study` runs it on every resampled
 subset. The kernels in `scenex` must return the same floats, bit for bit.
 """
@@ -25,7 +26,12 @@ from scenex.analysis import (
 from scenex.behavior import LEADER_CLEARANCE, leaders_ahead
 from scenex.errors import OffMapError
 from scenex.geometry import wrap_angle
-from scenex.map_model import DEFAULT_MATCH_DISTANCE, path_for_pose
+from scenex.map_model import (
+    DEFAULT_MATCH_DISTANCE,
+    match_seed_lane,
+    path_for_pose,
+    path_intersection,
+)
 from scenex.metrics import MAX_IS_WORST, MetricStats, PairContext
 
 
@@ -77,7 +83,8 @@ def match_to_lane(graph, x, y, yaw, max_distance=DEFAULT_MATCH_DISTANCE):
 
 def pair_contexts(engine, frame, routes=None):
     """`MetricEngine.pair_contexts` with each state's own station and each
-    leader candidate projected separately."""
+    leader candidate projected separately, and the paths of each pair on
+    two different centerlines intersected anew."""
     routes = routes or {}
     states = frame.states
     info = []
@@ -90,13 +97,13 @@ def pair_contexts(engine, frame, routes=None):
             path = None
         station = None
         gaps = {}
-        if path is not None and path.polyline is not None:
-            station = project(path.polyline, state.x, state.y)[0]
+        if path is not None:
+            station = project(path, state.x, state.y)[0]
             neighbours = []
             for other in states:
                 if other.track_id == state.track_id:
                     continue
-                other_station, lateral, _ = project(path.polyline, other.x, other.y)
+                other_station, lateral, _ = project(path, other.x, other.y)
                 if abs(lateral) <= LEADER_CLEARANCE:
                     neighbours.append((other_station, other))
             gaps = {other.track_id: s_net for other, s_net
@@ -112,8 +119,8 @@ def pair_contexts(engine, frame, routes=None):
             if s_net is not None:
                 delta_v = a.speed - b.speed
             if (st_a is not None and st_b is not None
-                    and path_a.source_route != path_b.source_route):
-                hit = engine._conflict(path_a, path_b)
+                    and path_a.points != path_b.points):
+                hit = path_intersection(path_a, path_b)
                 if hit is not None:
                     _, sa, sb = hit
                     if sa - st_a > 1e-9 and sb - st_b > 1e-9:
@@ -142,9 +149,15 @@ def frame_extrema(engine, frame, contexts=None):
     return extrema
 
 
-def aggregate(engine, log):
-    """Per-scenario fingerprint: worst and mean-of-extrema per metric."""
-    routes = engine._routes(log)
+def aggregate(engine, log, assignment):
+    """Per-scenario fingerprint: worst and mean-of-extrema per metric, each
+    participant on the route its spec in `assignment` selects."""
+    routes = {}
+    for tid, spec in assignment.mapping.items():
+        lane = match_seed_lane(engine.map_graph, log.seed.current.get(tid),
+                               spec.route_selector)
+        if lane is not None:
+            routes[tid] = (spec.route_selector, lane)
     per_metric = {}
     for frame in log.frames:
         contexts = pair_contexts(engine, frame, routes)

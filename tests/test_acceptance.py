@@ -91,7 +91,8 @@ def full_enumeration(roster6_module):
     elapsed = time.perf_counter() - start
     engine = MetricEngine(graph)
     distance_worst = np.array([
-        engine.aggregate(child.log)["distance"].worst for child in batch.children
+        engine.aggregate(child.log, child.assignment)["distance"].worst
+        for child in batch.children
     ])
     return batch, elapsed, distance_worst
 
@@ -248,8 +249,8 @@ def test_05_metric_root_and_aggregation_oracles():
                 for t in (1, 2, 3)))
             for k in range(8)
         )
-        log = ScenarioLog(seed, None, frames)
-        vector = engine.aggregate(log)
+        log = ScenarioLog(seed, frames)
+        vector = engine.aggregate(log, None)
         per_metric = {}
         for frame in frames:
             vals = {}

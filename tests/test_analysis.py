@@ -140,7 +140,7 @@ class TestGroundTruthOverlay:
         seed = extract_seed(case, 9)
         engine = MetricEngine(None)
         vector = ground_truth_overlay(seed, case.frames, SimConfig(), engine)
-        direct = engine.aggregate(ScenarioLog(seed, None, case.frames[10:40]))
+        direct = engine.aggregate(ScenarioLog(seed, case.frames[10:40]), None)
         assert vector == direct
 
     def test_short_recording_rejected(self):

@@ -18,7 +18,7 @@ from scenex.behavior import (
 )
 from scenex.errors import ModelError, SchemaError
 from scenex.geometry import Polyline
-from scenex.map_model import Path, route_centerline
+from scenex.map_model import route_centerline
 from scenex.scene_io import ParticipantState, SceneFrame
 
 
@@ -39,9 +39,9 @@ def main_path(straight_map):
 def first_leader(view, path):
     """(leader, net gap) of the view's own vehicle on `path`, or None."""
     me = view.self_state()
-    own_station, _ = path.polyline.project(me.x, me.y)[:2]
+    own_station, _ = path.project(me.x, me.y)[:2]
     states = view.current.states
-    projections = [path.polyline.project(s.x, s.y) for s in states]
+    projections = [path.project(s.x, s.y) for s in states]
     neighbours = sorted(path_neighbours(view.self_id, states, projections),
                         key=lambda e: e[0])
     return next(leaders_ahead(me, own_station, neighbours), None)
@@ -219,7 +219,7 @@ class TestPlanPrefix:
     causal, so the simulator plans only the steps it uses before the next
     replan."""
 
-    PATH = Path(Polyline([(0.0, 0.0), (60.0, 0.0), (120.0, 30.0)]))
+    PATH = Polyline([(0.0, 0.0), (60.0, 0.0), (120.0, 30.0)])
 
     @settings(max_examples=80, deadline=None)
     @given(

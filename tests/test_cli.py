@@ -362,6 +362,28 @@ class TestValidation:
         args = build_parser().parse_args(["enumerate", "--config", "run.yaml"])
         assert args.jobs == len(os.sched_getaffinity(0))
 
+    def test_n_runs_is_an_option_of_simulate_only(self, capsys):
+        parser = build_parser()
+        argv = ["--config", "run.yaml", "--n-runs", "3", "--rng-seed", "5"]
+        args = parser.parse_args(["simulate", *argv])
+        assert (args.n_runs, args.rng_seed) == (3, 5)
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(["enumerate", *argv])
+        assert exc.value.code != EXIT_OK
+        assert "--n-runs" in capsys.readouterr().err
+        assert parser.parse_args(["enumerate", *argv[:2], *argv[4:]]).rng_seed == 5
+
+    @pytest.mark.parametrize("command", ["simulate", "enumerate"])
+    def test_history_len_under_synth_params_rejected(self, tmp_path, capsys, command):
+        # the seed window's length is the run config's own history_len
+        cfg, out = write_config(tmp_path, synth="{template: car_following, "
+                                "params: {n_vehicles: 2, history_len: 3}}")
+        assert main([command, "--config", str(cfg), "--jobs", "1"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "'synth.params.history_len'" in err
+        assert "top-level 'history_len'" in err
+        assert not out.exists()
+
     def test_non_finite_track_value(self, tmp_path, capsys):
         scene = tmp_path / "scene"
         assert main(["synth-scene", "--template", "car_following",

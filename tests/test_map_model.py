@@ -262,33 +262,32 @@ def test_route_centerline_concatenation_dedupes_junction():
         lane("B", [(50, 0), (100, 0)]),
     ])
     path = route_centerline(graph, ("A", "B"))
-    assert path.polyline.length == pytest.approx(100.0)
-    assert path.polyline.points == [(0.0, 0.0), (50.0, 0.0), (100.0, 0.0)]
+    assert path.length == pytest.approx(100.0)
+    assert path.points == [(0.0, 0.0), (50.0, 0.0), (100.0, 0.0)]
 
 
 def test_project_onto_path_endpoints(straight_map):
     path = route_centerline(straight_map, ("main",))
-    assert path.polyline.project(0.0, 0.0)[:2] == pytest.approx((0.0, 0.0))
-    station, lateral = path.polyline.project(50.0, -3.0)[:2]
+    assert path.project(0.0, 0.0)[:2] == pytest.approx((0.0, 0.0))
+    station, lateral = path.project(50.0, -3.0)[:2]
     assert (station, lateral) == pytest.approx((50.0, -3.0))
-    station, _ = path.polyline.project(150.0, 0.0)[:2]
+    station, _ = path.project(150.0, 0.0)[:2]
     assert station == pytest.approx(100.0)
 
 
 def test_path_vertices_have_zero_lateral(t_junction_map):
     routes = enumerate_routes(t_junction_map, "A", horizon=500.0)
     path = route_centerline(t_junction_map, select_route(t_junction_map, routes, 1))
-    for x, y in path.polyline.points:
-        _, lateral = path.polyline.project(x, y)[:2]
+    for x, y in path.points:
+        _, lateral = path.project(x, y)[:2]
         assert abs(lateral) < 1e-9
 
 
 def test_path_intersection_perpendicular():
-    from scenex.map_model import Path
     from scenex.geometry import Polyline
 
-    a = Path(Polyline([(-20, 0), (30, 0)]))
-    b = Path(Polyline([(0, -20), (0, 30)]))
+    a = Polyline([(-20, 0), (30, 0)])
+    b = Polyline([(0, -20), (0, 30)])
     hit = path_intersection(a, b)
     assert hit is not None
     point, sa, sb = hit
@@ -297,11 +296,10 @@ def test_path_intersection_perpendicular():
 
 
 def test_path_intersection_symmetry():
-    from scenex.map_model import Path
     from scenex.geometry import Polyline
 
-    a = Path(Polyline([(-20, 1), (30, -2), (40, 5)]))
-    b = Path(Polyline([(3, -20), (-1, 30)]))
+    a = Polyline([(-20, 1), (30, -2), (40, 5)])
+    b = Polyline([(3, -20), (-1, 30)])
     ab = path_intersection(a, b)
     ba = path_intersection(b, a)
     assert ab is not None and ba is not None
@@ -311,27 +309,33 @@ def test_path_intersection_symmetry():
 
 
 def test_path_intersection_parallel_none():
-    from scenex.map_model import Path
     from scenex.geometry import Polyline
 
-    a = Path(Polyline([(0, 0), (100, 0)]))
-    b = Path(Polyline([(0, 3), (100, 3)]))
+    a = Polyline([(0, 0), (100, 0)])
+    b = Polyline([(0, 3), (100, 3)])
     assert path_intersection(a, b) is None
 
 
 def test_path_intersection_identical_overlap_none():
-    from scenex.map_model import Path
     from scenex.geometry import Polyline
 
-    a = Path(Polyline([(0, 0), (100, 0)]))
-    b = Path(Polyline([(0, 0), (100, 0)]))
+    a = Polyline([(0, 0), (100, 0)])
+    b = Polyline([(0, 0), (100, 0)])
     assert path_intersection(a, b) is None
 
 
 def test_path_for_pose_end_to_end(t_junction_map):
     path = path_for_pose(t_junction_map, 10.0, 0.5, 0.0)
-    assert path.source_route == ("A", "B")
-    assert path.polyline.length == pytest.approx(150.0)
+    assert path.points == route_centerline(t_junction_map, ("A", "B")).points
+    assert path.length == pytest.approx(150.0)
+
+
+def test_one_polyline_per_route(t_junction_map):
+    # on lane A, selector 0 is the straight route onto B, 1 the turn onto C
+    straightest = t_junction_map.lane_path("A")
+    assert t_junction_map.lane_path("A", 0) is straightest
+    assert t_junction_map.lane_path("A", 1) is not straightest
+    assert path_for_pose(t_junction_map, 10.0, 0.5, 0.0, 0) is straightest
 
 
 # -- box-pruned lane matching against the unpruned match of tests/oracles.py --

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scenex.behavior import ModelSpec
 from scenex.errors import OffMapError, RouteSelectionError
 from scenex.geometry import Polyline
-from scenex.map_model import MapGraph, match_seed_lane, path_for_pose
+from scenex.map_model import MapGraph, match_seed_lane, path_for_pose, path_intersection
 from scenex.metrics import (
     DEFAULT_METRICS,
     MAX_IS_WORST,
@@ -240,6 +240,28 @@ class TestEngine:
         assert ctx.d_self == pytest.approx(30.0)
         assert ctx.d_other == pytest.approx(40.0)
 
+    def test_paths_intersected_once_per_pair_of_routes(self, monkeypatch):
+        # 1 and 2 drive east, 1 by route selector 0, which picks the same
+        # route as the straightest; 3 drives north across both
+        graph, _ = synth_scene("crossing", {})
+        east, north = graph.lane_path("east"), graph.lane_path("north")
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return path_intersection(a, b)
+
+        monkeypatch.setattr("scenex.metrics.path_intersection", counting)
+        engine = MetricEngine(graph)
+        for k in range(3):
+            frame = SceneFrame(100 * (k + 1), (
+                state(1, -30.0 + k, vx=10.0), state(2, -60.0 + k, vx=10.0),
+                state(3, 0.0, -30.0 + k, yaw=math.pi / 2, vy=10.0)))
+            assert "gap_time" in engine.frame_extrema(frame, {1: (0, "east")})
+        assert len(calls) == 2
+        assert calls[0][0] is east and calls[0][1] is north
+        assert calls[1][0] is north and calls[1][1] is east
+
     def test_judged_on_own_lane_at_a_junction_node(self):
         from tests.conftest import lane
 
@@ -252,7 +274,7 @@ class TestEngine:
         ])
         on_c = state(1, 53.54, 3.54, yaw=math.pi / 4, vx=5.0, vy=5.0)
         ahead_on_c = state(2, 60.0, 30.0, yaw=math.pi / 2, vy=5.0)
-        assert path_for_pose(graph, on_c.x, on_c.y, on_c.yaw).source_route == ("C",)
+        assert path_for_pose(graph, on_c.x, on_c.y, on_c.yaw) is graph.lane_path("C")
         engine = MetricEngine(graph)
         contexts = {(c.a.track_id, c.b.track_id): c
                     for c in engine.pair_contexts(SceneFrame(100, (on_c, ahead_on_c)))}
@@ -282,7 +304,7 @@ class TestEngine:
         engine = MetricEngine(graph)
         frames = tuple(SceneFrame(100 * (k + 1), seed.current.states)
                        for k in range(30))
-        vector = engine.aggregate(ScenarioLog(seed, None, frames))
+        vector = engine.aggregate(ScenarioLog(seed, frames), None)
         for stats in vector.values():
             assert stats.worst == pytest.approx(stats.mean_of_extrema)
             assert stats.defined_frames == 30
@@ -298,7 +320,7 @@ class TestEngine:
             ))
             for k in range(20)
         )
-        vector = engine.aggregate(ScenarioLog(seed, None, frames))
+        vector = engine.aggregate(ScenarioLog(seed, frames), None)
         for metric, stats in vector.items():
             if metric in MAX_IS_WORST:
                 assert stats.worst >= stats.mean_of_extrema - 1e-12
@@ -318,8 +340,8 @@ class TestEngine:
                 ))
                 for k in range(10)
             )
-            log = ScenarioLog(seed, None, frames)
-            vector = engine.aggregate(log)
+            log = ScenarioLog(seed, frames)
+            vector = engine.aggregate(log, None)
             # brute force over every (frame, ordered pair, metric) triple
             per_metric = {}
             for frame in frames:
@@ -370,12 +392,12 @@ class TestFingerprintMemo:
                                              frames_folded):
         graph, seed = following_scene
         engine = MetricEngine(graph)
-        first = engine.aggregate(ScenarioLog(seed, None, seed.frames))
+        first = engine.aggregate(ScenarioLog(seed, seed.frames), None)
         first.clear()  # a caller's copy; the stored fingerprint is untouched
-        again = engine.aggregate(ScenarioLog(seed, None, seed.frames))
+        again = engine.aggregate(ScenarioLog(seed, seed.frames), None)
         assert len(frames_folded) == len(seed.frames)
         assert exact(again) == exact(MetricEngine(graph).aggregate(
-            ScenarioLog(seed, None, seed.frames)))
+            ScenarioLog(seed, seed.frames), None))
 
     def test_signed_zero_logs_get_their_own_fingerprints(
             self, following_scene, frames_folded, tmp_path):
@@ -385,7 +407,7 @@ class TestFingerprintMemo:
             frames = tuple(SceneFrame(100 * (k + 11), (
                 state(1, 20.0 + k, vx=10.0), state(2, 40.0, vx=0.0, vy=vy),
             )) for k in range(30))
-            return ScenarioLog(seed, None, frames)
+            return ScenarioLog(seed, frames)
 
         plus, minus = log_with(0.0), log_with(-0.0)
         assert plus.frames == minus.frames  # equal as numbers only
@@ -396,10 +418,10 @@ class TestFingerprintMemo:
         assert (tmp_path / "plus.csv").read_bytes() != (
             tmp_path / "minus.csv").read_bytes()
         engine = MetricEngine(graph)
-        vectors = [engine.aggregate(plus), engine.aggregate(minus)]
+        vectors = [engine.aggregate(plus, None), engine.aggregate(minus, None)]
         assert len(frames_folded) == 2 * 30
         for log, vector in zip((plus, minus), vectors):
-            assert exact(vector) == exact(MetricEngine(graph).aggregate(log))
+            assert exact(vector) == exact(MetricEngine(graph).aggregate(log, None))
 
     def test_same_frames_on_other_routes_are_scored_again(self, t_junction_map):
         from scenex.simulator import Assignment
@@ -415,9 +437,10 @@ class TestFingerprintMemo:
             assignment = Assignment(
                 {1: ModelSpec("constant_velocity", route_selector=selector), 2: cv},
                 ("sampled", 0))
-            log = ScenarioLog(seed, assignment, seed.frames)
-            vector = engine.aggregate(log)
-            assert exact(vector) == exact(MetricEngine(t_junction_map).aggregate(log))
+            log = ScenarioLog(seed, seed.frames)
+            vector = engine.aggregate(log, assignment)
+            assert exact(vector) == exact(
+                MetricEngine(t_junction_map).aggregate(log, assignment))
             seen.append("inv_ttc" in vector)
         assert seen == [True, False, True]
 
@@ -441,8 +464,8 @@ class TestFingerprintMemo:
         batch = run_enumerated(seed, [MEMO_ROSTER[i] for i in picks])
         engine = MetricEngine(graph)
         for child in batch.children:
-            assert exact(engine.aggregate(child.log)) == exact(
-                MetricEngine(graph).aggregate(child.log))
+            assert exact(engine.aggregate(child.log, child.assignment)) == exact(
+                MetricEngine(graph).aggregate(child.log, child.assignment))
 
 
 def context_bits(contexts):
@@ -469,7 +492,7 @@ class TestSharedProjections:
         original = Polyline.project
 
         def counting(pl, x, y):
-            if pl is path.polyline:
+            if pl is path:
                 projected.append((x, y))
             return original(pl, x, y)
 
@@ -640,9 +663,9 @@ class TestFoldAgainstOracle:
         engine = MetricEngine(graph)
         defined = set()
         for child in batch.children:
-            vector = engine.aggregate(child.log)
+            vector = engine.aggregate(child.log, child.assignment)
             assert exact(vector) == exact(oracles.aggregate(MetricEngine(graph),
-                                                            child.log))
+                                                            child.log, child.assignment))
             defined |= set(vector)
         assert defined == set(DEFAULT_METRICS)
 

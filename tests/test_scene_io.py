@@ -136,7 +136,7 @@ class TestRoundTrip:
         case = make_case(n_tracks=5, n_frames=30)
         p = tmp_path / "log.csv"
         seed = extract_seed(make_case(n_tracks=5, n_frames=40), 9)
-        log = ScenarioLog(seed, None, case.frames)
+        log = ScenarioLog(seed, case.frames)
         write_log(log, p)
         with open(p) as fh:
             rows = list(csv.reader(fh))
@@ -231,8 +231,8 @@ class TestSynthScene:
         hit = path_intersection(path_a, path_b)
         assert hit is not None
         _, sa, sb = hit
-        st_a, _ = path_a.polyline.project(a.x, a.y)[:2]
-        st_b, _ = path_b.polyline.project(b.x, b.y)[:2]
+        st_a, _ = path_a.project(a.x, a.y)[:2]
+        st_b, _ = path_b.project(b.x, b.y)[:2]
         assert sa - st_a == pytest.approx(30.0)
         assert sb - st_b == pytest.approx(30.0)
 

@@ -188,10 +188,11 @@ class TestRunChild:
         assert log.frames[-1].get(1).y > 0.0
         # judged on (A, C), vehicle 2 on B never leads vehicle 1
         engine = MetricEngine(t_junction_map)
-        assert "inv_ttc" not in engine.aggregate(log)
-        straight = run_child(seed, simulator.Assignment({1: cv, 2: cv}, ("sampled", 0)))
+        assert "inv_ttc" not in engine.aggregate(log, turn)
+        both_cv = simulator.Assignment({1: cv, 2: cv}, ("sampled", 0))
+        straight = run_child(seed, both_cv)
         assert straight.frames[-1].get(1).y == 0.0
-        assert "inv_ttc" in engine.aggregate(straight)
+        assert "inv_ttc" in engine.aggregate(straight, both_cv)
 
     def test_mapless_seed_drives_along_yaw(self):
         yaw = math.pi / 4
@@ -486,7 +487,7 @@ def child_bits(batch):
 
 class TestDistinctAssignments:
     """A batch simulates each distinct tuple of specs once; a repeat gets the
-    first child's frames, or its failure, under its own index and assignment."""
+    first child's log, or its failure, under its own index and assignment."""
 
     def test_equal_roster_slots_run_once(self, following_scene, roster6, child_runs):
         _, seed = following_scene
@@ -494,9 +495,12 @@ class TestDistinctAssignments:
         # the two replay slots are equal specs: 5 distinct per vehicle
         assert len(child_runs) == len({spec_tuple(seed, a) for a in child_runs}) == 25
         assert [c.index for c in batch.children] == list(range(36))
+        logs = {}  # spec tuple -> the log of its first child
         for child in batch.children:
-            assert child.log.assignment is child.assignment
+            assert logs.setdefault(spec_tuple(seed, child.assignment),
+                                   child.log) is child.log
             assert child.log.seed is seed
+        assert len({id(log) for log in logs.values()}) == 25
         assert_children_run_alone(batch, seed)
 
     def test_sampled_repeats_run_once(self, following_scene, roster6, child_runs):
