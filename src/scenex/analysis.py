@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .behavior import ModelSpec
-from .errors import ScenexError
 from .metrics import MetricEngine
-from .simulator import Assignment, SimConfig, recorded_base_index, run_child
+from .simulator import Assignment, SimConfig, run_child
 
 if TYPE_CHECKING:
     import numpy as np
@@ -162,23 +161,18 @@ def convergence_study(full_values, sizes=DEFAULT_CONVERGENCE_SIZES,
     return rows
 
 
-def ground_truth_overlay(seed_scene, recorded, cfg: SimConfig,
-                         engine: MetricEngine):
-    """Fingerprint of the recorded future, replayed through the simulator.
+def ground_truth_overlay(seed_scene, cfg: SimConfig, engine: MetricEngine):
+    """Fingerprint of the seed's recorded future, replayed through the
+    simulator.
 
-    Raises ValueError when the recording is shorter than the horizon; absent
-    metrics stay absent in the result.
+    Raises ValueError when the recorded future is shorter than the horizon;
+    absent metrics stay absent in the result.
     """
-    recorded = tuple(recorded)
-    try:
-        covered = len(recorded) - 1 - recorded_base_index(recorded, seed_scene)
-    except ScenexError:
-        covered = -1
-    if covered < cfg.horizon_steps:
+    if len(seed_scene.future) < cfg.horizon_steps:
         raise ValueError("recording does not cover the scenario horizon")
     assignment = Assignment(
         {tid: ModelSpec("replay") for tid in seed_scene.track_ids},
         ("sampled", cfg.rng_seed),
     )
-    log = run_child(seed_scene, assignment, cfg, recorded=recorded)
+    log = run_child(seed_scene, assignment, cfg)
     return engine.aggregate(log, assignment)

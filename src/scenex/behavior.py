@@ -220,8 +220,8 @@ def plan_path_follow(view: WorldView, spec: ModelSpec, path: Polyline | None) ->
 
 
 def plan_replay(view: WorldView, recorded, current_index) -> tuple:
-    """The recorded future states, verbatim; hold the last state when the
-    recording ends (constant position, zero speed)."""
+    """The recorded future states, verbatim; where the track is missing,
+    hold its latest recorded state (constant position, zero speed)."""
     base = None
     for idx in range(min(current_index, len(recorded) - 1), -1, -1):
         base = recorded[idx].get(view.self_id)
@@ -235,7 +235,7 @@ def plan_replay(view: WorldView, recorded, current_index) -> tuple:
         idx = current_index + k
         state = recorded[idx].get(view.self_id) if idx < len(recorded) else None
         if state is not None:
-            base = state
+            base, held = state, None
             states.append(state)
         else:
             if held is None:

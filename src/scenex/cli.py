@@ -1,8 +1,8 @@
 """Command line interface: simulate, enumerate, analyze, synth-scene.
 
 All subcommands are batch operations driven by files; outputs are CSV
-tables meant for external plotting. Exit codes: 0 success, 1 validation,
-2 I/O, 3 simulation failure (all children failed).
+tables meant for external plotting. Exit codes: 0 success, 1 validation
+(usage errors included), 2 I/O, 3 simulation failure (all children failed).
 """
 from __future__ import annotations
 
@@ -91,7 +91,7 @@ def load_run_config(path) -> RunConfig:
 
 
 def _build_scene(cfg: RunConfig):
-    """Returns (map_graph, seed_scene, recorded_case_frames_or_None)."""
+    """Returns (map_graph, seed_scene, the case it was cut from or None)."""
     if cfg.synth is not None:
         graph, seed = scene_io.synth_scene(
             cfg.synth["template"],
@@ -108,7 +108,7 @@ def _build_scene(cfg: RunConfig):
         raise ConfigError(str(exc)) from exc
     current = tr.get("current_index", cfg.history_len - 1)
     seed = scene_io.extract_seed(case, current, cfg.history_len, map_graph=graph)
-    return graph, seed, case.frames
+    return graph, seed, case
 
 
 def _metric_rows(engine, batch):
@@ -133,7 +133,7 @@ def _remove_stale(path, header) -> None:
         pass
 
 
-def _write_outputs(cfg, batch, engine, seed, recorded, mode):
+def _write_outputs(cfg, batch, engine, seed, mode):
     """Write a batch's logs, tables and manifest, and delete the logs and
     ground-truth table an earlier run left that this run did not write.
 
@@ -172,10 +172,9 @@ def _write_outputs(cfg, batch, engine, seed, recorded, mode):
     metrics.write_metric_table(os.path.join(out, "metrics.csv"),
                                _metric_rows(engine, batch))
     gt_written = False
-    if recorded is not None:
+    if cfg.tracks is not None:
         try:
-            vector = analysis.ground_truth_overlay(seed, recorded,
-                                                   cfg.sim_config(), engine)
+            vector = analysis.ground_truth_overlay(seed, cfg.sim_config(), engine)
             metrics.write_metric_table(os.path.join(out, "ground_truth.csv"),
                                        [(-1, cfg.rng_seed, vector)])
             gt_written = True
@@ -213,19 +212,18 @@ def _run_simulation(args, mode) -> int:
             raise ConfigError(f"n_runs must be <= enumeration_cap "
                               f"({cfg.enumeration_cap}), got {cfg.n_runs}")
     sim_cfg = cfg.sim_config()
-    graph, seed, recorded = _build_scene(cfg)
+    graph, seed, _ = _build_scene(cfg)
     roster = load_roster(cfg.roster)
     engine = metrics.MetricEngine(
         graph, pttc_decel=cfg.pttc_decel, wttc_accel=cfg.wttc_accel,
         route_horizon=cfg.route_horizon,
     )
     if mode == "enumerate":
-        batch = simulator.run_enumerated(seed, roster, sim_cfg, recorded=recorded,
-                                         jobs=args.jobs, cap=cfg.enumeration_cap)
+        batch = simulator.run_enumerated(seed, roster, sim_cfg, jobs=args.jobs,
+                                         cap=cfg.enumeration_cap)
     else:
-        batch = simulator.run_batch(seed, roster, cfg.n_runs, sim_cfg,
-                                    recorded=recorded, jobs=args.jobs)
-    _write_outputs(cfg, batch, engine, seed, recorded, mode)
+        batch = simulator.run_batch(seed, roster, cfg.n_runs, sim_cfg, jobs=args.jobs)
+    _write_outputs(cfg, batch, engine, seed, mode)
     if not batch.logs:
         print("error: all children failed", file=sys.stderr)
         return EXIT_SIMULATION
@@ -409,7 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error exits 2, the I/O code here
+        return EXIT_VALIDATION if exc.code else EXIT_OK
     try:
         if args.command == "simulate":
             return _run_simulation(args, "simulate")

@@ -112,23 +112,29 @@ def states_key(frame) -> bytes:
 
 @dataclass(frozen=True)
 class SeedScene:
-    """Map reference plus a short history window; last frame is current."""
+    """Map reference plus a short history window, whose last frame is
+    current, and the frames recorded after it (none for a synthetic seed),
+    which replay models follow."""
 
     map_graph: MapGraph
     frames: tuple
     case_id: int = 0
+    future: tuple = ()
 
     def __post_init__(self):
         if not self.frames:
             raise ValueError("seed scene needs at least one frame")
         ids = self.frames[0].track_ids
-        prev = None
         for fr in self.frames:
-            if prev is not None and fr.timestamp_ms - prev != FRAME_PERIOD_MS:
-                raise ValueError("seed frames must be spaced exactly 100 ms")
-            prev = fr.timestamp_ms
             if fr.track_ids != ids:
                 raise ValueError("participant set must be constant over the history")
+        recorded = self.frames + self.future
+        for k in range(1, len(recorded)):
+            prev, ts = recorded[k - 1].timestamp_ms, recorded[k].timestamp_ms
+            if ts - prev != FRAME_PERIOD_MS:
+                where = "seed" if k < len(self.frames) else "recorded future"
+                raise ValueError(f"case {self.case_id}: {where} frame at {ts} ms "
+                                 f"is not 100 ms after {prev} ms")
 
     @property
     def current(self) -> SceneFrame:
@@ -271,10 +277,11 @@ def write_log(log_: ScenarioLog, path) -> None:
 
 def extract_seed(case: Case, current_index, history_len=DEFAULT_HISTORY_LEN,
                  map_graph=None) -> SeedScene:
-    """Cut a history window ending at `current_index` out of a case.
+    """Cut a history window ending at `current_index` out of a case; the
+    case's later frames are the seed's recorded future.
 
-    The participant set is restricted to tracks present in every selected
-    frame; behavior models assume complete histories.
+    The window's participant set is restricted to tracks present in every
+    selected frame; behavior models assume complete histories.
     """
     if (history_len < 1 or current_index < history_len - 1
             or current_index >= len(case.frames)):
@@ -293,7 +300,7 @@ def extract_seed(case: Case, current_index, history_len=DEFAULT_HISTORY_LEN,
                    tuple(s for s in fr.states if s.track_id in common))
         for fr in window
     )
-    return SeedScene(map_graph, frames, case.case_id)
+    return SeedScene(map_graph, frames, case.case_id, case.frames[current_index + 1:])
 
 
 def _history_frames(specs, history_len):

@@ -112,23 +112,14 @@ def enumerate_assignments(seed: SeedScene, roster, cap=DEFAULT_ENUMERATION_CAP):
         yield Assignment(mapping, ("enumerated", index))
 
 
-def recorded_base_index(recorded, seed: SeedScene) -> int:
-    """Index of the seed's current frame in the recorded frames."""
-    ts = seed.current.timestamp_ms
-    for i, fr in enumerate(recorded):
-        if fr.timestamp_ms == ts:
-            return i
-    raise ScenexError("recording does not contain the seed's current timestamp")
-
-
 def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfig(),
-              recorded=None, plan_memo=None) -> ScenarioLog:
+              plan_memo=None) -> ScenarioLog:
     """Simulate one child-scenario under a fixed model assignment.
 
-    Replay models follow `recorded` (the full case frames); without a
-    recording they hold their seed state. All models plan from the current
-    frame, each for the `replan_interval` steps used before the next replan;
-    the seed's earlier frames are never read.
+    Replay models follow the seed's recorded future, holding their latest
+    recorded state where it lacks them. All models plan from the current frame,
+    each for the `replan_interval` steps used before the next replan; the
+    seed's earlier frames are never read.
 
     `plan_memo` is a dict shared by the children of one batch: a path
     follower's path and plan are computed once per distinct (track, resolved
@@ -145,8 +136,8 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
         tid: resolve_spec(assignment.mapping[tid], current.get(tid).speed)
         for tid in ids
     }
-    rec_frames = tuple(recorded) if recorded is not None else seed.frames
-    base_index = recorded_base_index(rec_frames, seed)
+    recorded = seed.frames + seed.future
+    base_index = len(seed.frames) - 1
 
     if plan_memo is None:
         plan_memo = {}
@@ -165,7 +156,7 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
                 try:
                     if spec.kind == "replay":
                         plan = plan_replay(WorldView(frame, tid, cfg.replan_interval),
-                                           rec_frames, base_index + step)
+                                           recorded, base_index + step)
                     else:
                         me = frame.get(tid)
                         if step == 0:
@@ -232,16 +223,15 @@ class BatchResult:
 _WORKER_CTX = {}
 
 
-def _init_worker(seed, cfg, recorded):
+def _init_worker(seed, cfg):
     _WORKER_CTX["seed"] = seed
     _WORKER_CTX["cfg"] = cfg
-    _WORKER_CTX["recorded"] = recorded
     _WORKER_CTX["plan_memo"] = {}
 
 
-def _run_one(seed, assignment, cfg, recorded, index, plan_memo) -> ChildResult:
+def _run_one(seed, assignment, cfg, index, plan_memo) -> ChildResult:
     try:
-        log = run_child(seed, assignment, cfg, recorded=recorded, plan_memo=plan_memo)
+        log = run_child(seed, assignment, cfg, plan_memo=plan_memo)
         return ChildResult(index, assignment, log)
     except Exception as exc:  # a failing child never ends the batch
         cause = (exc.__cause__ if isinstance(exc, ChildRunError) else None) or exc
@@ -254,9 +244,12 @@ def _run_one(seed, assignment, cfg, recorded, index, plan_memo) -> ChildResult:
 
 
 def _worker(args):
+    """Run one task in a pool worker. A log goes back as its frames alone,
+    which the parent puts under its own seed."""
     index, assignment = args
-    return _run_one(_WORKER_CTX["seed"], assignment, _WORKER_CTX["cfg"],
-                    _WORKER_CTX["recorded"], index, _WORKER_CTX["plan_memo"])
+    child = _run_one(_WORKER_CTX["seed"], assignment, _WORKER_CTX["cfg"], index,
+                     _WORKER_CTX["plan_memo"])
+    return replace(child, log=child.log.frames) if child.ok else child
 
 
 def available_cpus() -> int:
@@ -266,7 +259,7 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _execute(seed, cfg, recorded, tasks, jobs) -> BatchResult:
+def _execute(seed, cfg, tasks, jobs) -> BatchResult:
     """Run the (index, assignment) `tasks`, each distinct assignment once,
     and return their children in task order.
 
@@ -291,30 +284,31 @@ def _execute(seed, cfg, recorded, tasks, jobs) -> BatchResult:
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_init_worker,
-            initargs=(seed, cfg, recorded),
+            initargs=(seed, cfg),
         ) as pool:
-            results = list(pool.map(_worker, distinct, chunksize=64))
+            results = [replace(r, log=ScenarioLog(seed, r.log)) if r.ok else r
+                       for r in pool.map(_worker, distinct, chunksize=64)]
     else:
         plan_memo = {}
-        results = [_run_one(seed, a, cfg, recorded, i, plan_memo) for i, a in distinct]
+        results = [_run_one(seed, a, cfg, i, plan_memo) for i, a in distinct]
     ran = dict(zip(firsts, results))
     return BatchResult(tuple(replace(ran[key], index=index, assignment=assignment)
                              for key, (index, assignment) in zip(keys, tasks)))
 
 
 def run_batch(seed: SeedScene, roster, n_runs=DEFAULT_N_RUNS,
-              cfg: SimConfig = SimConfig(), recorded=None, jobs=1) -> BatchResult:
+              cfg: SimConfig = SimConfig(), jobs=1) -> BatchResult:
     """Run `n_runs` sampled children; child i uses run seed rng_seed XOR i."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     tasks = [
         (i, assign_models(seed, roster, cfg.rng_seed ^ i)) for i in range(n_runs)
     ]
-    return _execute(seed, cfg, recorded, tasks, jobs)
+    return _execute(seed, cfg, tasks, jobs)
 
 
 def run_enumerated(seed: SeedScene, roster, cfg: SimConfig = SimConfig(),
-                   recorded=None, jobs=1, cap=DEFAULT_ENUMERATION_CAP) -> BatchResult:
+                   jobs=1, cap=DEFAULT_ENUMERATION_CAP) -> BatchResult:
     """Run every possible assignment (|roster| ** participants children)."""
     tasks = list(enumerate(enumerate_assignments(seed, roster, cap=cap)))
-    return _execute(seed, cfg, recorded, tasks, jobs)
+    return _execute(seed, cfg, tasks, jobs)

@@ -352,7 +352,7 @@ def test_09_round_trip_fidelity(tmp_path):
     seed = extract_seed(case, 9)
     spec = ModelSpec("replay")
     assignment = Assignment({1: spec, 2: spec}, ("sampled", 0))
-    log = run_child(seed, assignment, recorded=case.frames)
+    log = run_child(seed, assignment)
     dev = max(
         abs(getattr(sim_s, f) - getattr(rec_s, f))
         for sim_fr, rec_fr in zip(log.frames, case.frames[10:40])

@@ -139,7 +139,7 @@ class TestGroundTruthOverlay:
         case = make_case(n_tracks=2, n_frames=50)
         seed = extract_seed(case, 9)
         engine = MetricEngine(None)
-        vector = ground_truth_overlay(seed, case.frames, SimConfig(), engine)
+        vector = ground_truth_overlay(seed, SimConfig(), engine)
         direct = engine.aggregate(ScenarioLog(seed, case.frames[10:40]), None)
         assert vector == direct
 
@@ -149,7 +149,7 @@ class TestGroundTruthOverlay:
         case = make_case(n_tracks=2, n_frames=20)
         seed = extract_seed(case, 9)
         with pytest.raises(ValueError, match="horizon"):
-            ground_truth_overlay(seed, case.frames, SimConfig(), MetricEngine(None))
+            ground_truth_overlay(seed, SimConfig(), MetricEngine(None))
 
 
 # small pools make repeated values, and both zeros, common

@@ -275,6 +275,15 @@ class TestPlanReplay:
             assert s.x == 14.0
             assert s.speed == 0.0
 
+    def test_holds_the_latest_recorded_state_in_each_gap(self):
+        # recorded at x = 0, 1, missing, 3, missing
+        rec = [SceneFrame(100 * (i + 1), (state(1, float(x), vx=10.0),) if x is not None
+                          else ()) for i, x in enumerate([0, 1, None, 3, None])]
+        view = view_of([state(1, 0.0, vx=10.0)], 1, 4)
+        traj = plan_replay(view, rec, current_index=0)
+        assert [s.x for s in traj] == [1.0, 1.0, 3.0, 3.0]
+        assert [s.speed for s in traj] == [10.0, 0.0, 10.0, 0.0]
+
     def test_missing_track_rejected(self):
         rec = self.make_recording()
         view = view_of([state(7, 0.0)], 7)

@@ -373,6 +373,20 @@ class TestValidation:
         assert "--n-runs" in capsys.readouterr().err
         assert parser.parse_args(["enumerate", *argv[:2], *argv[4:]]).rng_seed == 5
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--jobs", "x"], ["enumerate", "--n-runs", "3"]],
+        ids=["jobs-not-an-int", "enumerate-n-runs"])
+    def test_usage_error_is_a_validation_error(self, tmp_path, capsys, argv):
+        cfg, out = write_config(tmp_path)
+        assert main([*argv, "--config", str(cfg)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        assert main(["simulate", "--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: ")
+
     @pytest.mark.parametrize("command", ["simulate", "enumerate"])
     def test_history_len_under_synth_params_rejected(self, tmp_path, capsys, command):
         # the seed window's length is the run config's own history_len
@@ -484,6 +498,19 @@ class TestValidation:
         err = capsys.readouterr().err
         assert "tracks.csv: no vehicle rows" in err and "Traceback" not in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "enumerate"])
+def test_recorded_future_that_skips_a_frame_rejected(tmp_path, capsys, command):
+    # no frame at 1300 ms: replay would show the 1400 ms state at 1300 ms
+    cfg, scene, out = tracks_config(tmp_path)
+    case = make_case(n_frames=40, case_id=6)
+    scene_io.write_case(6, case.frames[:12] + case.frames[13:], scene / "tracks.csv")
+    assert main([command, "--config", str(cfg), "--jobs", "1"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "case 6: recorded future frame at 1400 ms is not 100 ms after 1200 ms" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def tracks_config(tmp_path):

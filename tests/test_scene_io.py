@@ -179,6 +179,29 @@ class TestExtractSeed:
         with pytest.raises(InsufficientHistoryError, match="need"):
             extract_seed(make_case(), current, history_len)
 
+    def test_later_frames_are_the_recorded_future(self):
+        case = make_case()
+        seed = extract_seed(case, 9)
+        assert seed.future == case.frames[10:]
+        assert extract_seed(case, 39).future == ()
+
+    def test_future_keeps_every_track(self):
+        # the window drops track 2, the future keeps it where it was recorded
+        case = make_case(start_ids={2: 5})
+        seed = extract_seed(case, 9)
+        assert seed.track_ids == [1]
+        assert seed.future[0].track_ids == {1, 2}
+
+    def test_future_that_skips_a_frame_rejected(self):
+        # no frame at 1300 ms: replay would run one step early from there
+        case = make_case(case_id=4)
+        gapped = Case(4, case.frames[:12] + case.frames[13:])
+        with pytest.raises(ValueError, match="case 4: recorded future frame at "
+                                             "1400 ms is not 100 ms after 1200 ms"):
+            extract_seed(gapped, 9)
+        # a seed cut after the gap is unaffected by it
+        assert extract_seed(gapped, 21).frames[0].timestamp_ms == 1400
+
     def test_empty_intersection(self):
         # track 1 only in early frames, track 2 only in late frames
         early = tuple(SceneFrame(100 * (f + 1), (ParticipantState(
@@ -300,6 +323,26 @@ def test_seed_scene_rejects_bad_spacing():
     st1 = (ParticipantState(1, "car", 0.0, 0.0, 0.0, 1.0, 0.0),)
     with pytest.raises(ValueError, match="100 ms"):
         SeedScene(None, (SceneFrame(100, st1), SceneFrame(300, st1)))
+
+
+@pytest.mark.parametrize("future_ts, bad_ts", [
+    ((300, 400), 300), ((200, 400), 400), ((200, 200), 200)])
+def test_seed_scene_rejects_a_future_out_of_step(future_ts, bad_ts):
+    st1 = (ParticipantState(1, "car", 0.0, 0.0, 0.0, 1.0, 0.0),)
+    future = tuple(SceneFrame(ts, st1) for ts in future_ts)
+    with pytest.raises(ValueError, match=f"case 3: recorded future frame at {bad_ts} ms"):
+        SeedScene(None, (SceneFrame(100, st1),), 3, future)
+
+
+def test_seed_scene_future_may_change_participants():
+    s1 = (ParticipantState(1, "car", 0.0, 0.0, 0.0, 1.0, 0.0),)
+    s2 = (ParticipantState(2, "car", 5.0, 0.0, 0.0, 1.0, 0.0),)
+    seed = SeedScene(None, (SceneFrame(100, s1),), future=(SceneFrame(200, s2),))
+    assert seed.track_ids == [1]
+
+
+def test_synthetic_seed_has_no_future():
+    assert synth_scene("car_following", {})[1].future == ()
 
 
 def test_seed_scene_rejects_varying_participants():

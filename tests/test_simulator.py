@@ -173,7 +173,7 @@ class TestRunChild:
         seed = extract_seed(case, 9)
         spec = ModelSpec("replay")
         a = simulator.Assignment({tid: spec for tid in seed.track_ids}, ("sampled", 0))
-        log = run_child(seed, a, recorded=case.frames)
+        log = run_child(seed, a)
         assert log.frames == case.frames[10:40]
 
     def test_route_selector_applies_on_seed_lane_only(self, t_junction_map):
@@ -296,12 +296,12 @@ class TestBatches:
         assert finals[("emergency_brake", "constant_velocity")] == pytest.approx(70.0)
 
 
-def assert_children_run_alone(batch, seed, cfg=SimConfig(), recorded=None):
+def assert_children_run_alone(batch, seed, cfg=SimConfig()):
     """Every child of `batch` equals its assignment run by itself, bit for bit,
     or fails the same way."""
     for child in batch.children:
         try:
-            alone = run_child(seed, child.assignment, cfg, recorded=recorded)
+            alone = run_child(seed, child.assignment, cfg)
         except ChildRunError as exc:
             assert not child.ok
             assert (child.error, child.track_id, child.step, child.model_kind,
@@ -432,9 +432,9 @@ class TestPlanMemo:
         logs = []
         for vy in (0.0, -0.0):
             rec = recording(vy)
-            seed = SeedScene(straight_map, rec[:10])
-            logs.append(run_child(seed, a, recorded=rec, plan_memo=memo))
-            assert logs[-1].digest == run_child(seed, a, recorded=rec).digest
+            seed = SeedScene(straight_map, rec[:10], future=rec[10:])
+            logs.append(run_child(seed, a, plan_memo=memo))
+            assert logs[-1].digest == run_child(seed, a).digest
         # each child planned every replan itself: no key matched across them
         assert len(planner_calls) == 4 * 6
         assert len(memo) == 2 * 6
@@ -537,18 +537,25 @@ class TestDistinctAssignments:
         assert serial.n_failed > 0
         assert child_bits(serial) == child_bits(run_enumerated(seed, roster, jobs=2))
 
+    def test_pool_children_hold_the_parents_seed(self, roster6):
+        # a worker sends back frames only, not an unpickled copy of the seed
+        _, seed = synth_scene("car_following", {"n_vehicles": 4})
+        batch = run_enumerated(seed, roster6[:5], jobs=2)
+        assert len(batch.children) == 625 and batch.n_failed == 0
+        assert all(child.log.seed is seed for child in batch.children)
+
 
 class TestCurrentFrameOnly:
     """A child depends on the seed's current frame alone, as the plan memo's
     key does: a seed of that one frame gives the same child."""
 
     @staticmethod
-    def assert_same_child(seed, mapping, recorded=None):
+    def assert_same_child(seed, mapping):
         assert len(seed.frames) > 1
         a = simulator.Assignment(mapping, ("sampled", 0))
-        full = run_child(seed, a, recorded=recorded)
-        alone = run_child(SeedScene(seed.map_graph, (seed.current,), seed.case_id), a,
-                          recorded=recorded)
+        full = run_child(seed, a)
+        alone = run_child(SeedScene(seed.map_graph, (seed.current,), seed.case_id,
+                                    seed.future), a)
         assert alone.frames == full.frames
         assert alone.digest == full.digest
 
@@ -561,8 +568,7 @@ class TestCurrentFrameOnly:
     def test_replay_of_a_recording(self):
         case = replay_case()
         seed = extract_seed(case, 9)
-        self.assert_same_child(seed, {tid: ModelSpec("replay") for tid in seed.track_ids},
-                               recorded=case.frames)
+        self.assert_same_child(seed, {tid: ModelSpec("replay") for tid in seed.track_ids})
 
     def test_route_selector_on_a_fork(self, t_junction_map):
         seed = seed_of(t_junction_map, (1, 30.0, 0.0, 0.0, 10.0),
