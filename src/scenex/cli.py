@@ -13,7 +13,7 @@ import json
 import os
 import shutil
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from . import analysis, metrics, scene_io, simulator
 from .behavior import load_roster
@@ -111,13 +111,46 @@ def _build_scene(cfg: RunConfig):
     return graph, seed, case
 
 
+def _log_name(index) -> str:
+    return f"child_{index:05d}.csv"
+
+
+@dataclass
+class _ScoreAndWrite:
+    """The `finish` of `simulate` and `enumerate`, run in the process that
+    simulated the child: it scores the child and writes its log under each
+    index of its specs, then drops the log, so a pool worker sends back the
+    fingerprint alone.
+
+    Equal digests (timestamps, ids, agent types and float bits; the case id
+    is the batch's) mean equal bytes, so each distinct log is rendered once
+    per process and copied for the rest.
+    """
+
+    engine: metrics.MetricEngine
+    logs_dir: str
+    rendered: dict = field(default_factory=dict)  # log digest -> its first file
+
+    def __call__(self, child, indices):
+        fingerprint = self.engine.aggregate(child.log, child.assignment)
+        if not self.rendered:  # a run that fails before any child makes no directory
+            os.makedirs(self.logs_dir, exist_ok=True)
+        first = self.rendered.get(child.log.digest)
+        for index in indices:
+            path = os.path.join(self.logs_dir, _log_name(index))
+            if first is None:
+                scene_io.write_log(child.log, path)
+                first = self.rendered[child.log.digest] = path
+            else:
+                shutil.copyfile(first, path)
+        return replace(child, log=None, fingerprint=fingerprint)
+
+
 def _metric_rows(engine, batch):
-    rows = []
-    for child in batch.children:
-        if child.ok:
-            rows.append((child.index, child.assignment.run_seed,
-                         engine.aggregate(child.log, child.assignment)))
-    return rows
+    """The `metrics.csv` rows of the completed children, in index order.
+    Each child was scored where it ran, so `engine` is not read here."""
+    return [(child.index, child.assignment.run_seed, child.fingerprint)
+            for child in batch.children if child.ok]
 
 
 def _remove_stale(path, header) -> None:
@@ -134,17 +167,13 @@ def _remove_stale(path, header) -> None:
 
 
 def _write_outputs(cfg, batch, engine, seed, mode):
-    """Write a batch's logs, tables and manifest, and delete the logs and
-    ground-truth table an earlier run left that this run did not write.
-
-    Equal digests (timestamps, ids, agent types and float bits; the case id
-    is the batch's) mean equal bytes, so each distinct log is rendered once
-    and copied for its repeats.
-    """
+    """Write a batch's tables and manifest, and delete the logs and
+    ground-truth table an earlier run left that this run did not write. The
+    children's logs were written where they ran; a log file of a child that
+    ended up failed, such as one whose worker died, is deleted too."""
     out = cfg.output_dir
     logs_dir = os.path.join(out, "logs")
     os.makedirs(logs_dir, exist_ok=True)
-    rendered = {}  # log digest -> the file it was rendered to
     written = set()
     children = []
     for child in batch.children:
@@ -155,14 +184,7 @@ def _write_outputs(cfg, batch, engine, seed, mode):
             "status": "ok" if child.ok else "failed",
         }
         if child.ok:
-            name = f"child_{child.index:05d}.csv"
-            path = os.path.join(logs_dir, name)
-            first = rendered.get(child.log.digest)
-            if first is None:
-                scene_io.write_log(child.log, path)
-                rendered[child.log.digest] = path
-            else:
-                shutil.copyfile(first, path)
+            name = _log_name(child.index)
             written.add(name)
             entry["log"] = os.path.join("logs", name)
         else:
@@ -218,13 +240,15 @@ def _run_simulation(args, mode) -> int:
         graph, pttc_decel=cfg.pttc_decel, wttc_accel=cfg.wttc_accel,
         route_horizon=cfg.route_horizon,
     )
+    finish = _ScoreAndWrite(engine, os.path.join(cfg.output_dir, "logs"))
     if mode == "enumerate":
         batch = simulator.run_enumerated(seed, roster, sim_cfg, jobs=args.jobs,
-                                         cap=cfg.enumeration_cap)
+                                         cap=cfg.enumeration_cap, finish=finish)
     else:
-        batch = simulator.run_batch(seed, roster, cfg.n_runs, sim_cfg, jobs=args.jobs)
+        batch = simulator.run_batch(seed, roster, cfg.n_runs, sim_cfg, jobs=args.jobs,
+                                    finish=finish)
     _write_outputs(cfg, batch, engine, seed, mode)
-    if not batch.logs:
+    if batch.n_failed == len(batch.children):
         print("error: all children failed", file=sys.stderr)
         return EXIT_SIMULATION
     if batch.n_failed:

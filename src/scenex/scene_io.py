@@ -189,8 +189,10 @@ def _normalize_agent_type(raw: str) -> str:
 def load_tracks(path) -> TrackDataset:
     """Load a track CSV, grouping rows into cases of ordered frames.
 
-    Non-vehicle rows (pedestrians, bicycles) are dropped and counted. The
-    raw load does not force participant-set constancy; `extract_seed` does.
+    Non-vehicle rows (pedestrians, bicycles) are dropped and counted; a
+    frame that holds only such rows is kept with no states, and a case that
+    holds only such rows is dropped. The raw load does not force
+    participant-set constancy; `extract_seed` does.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -213,15 +215,18 @@ def load_tracks(path) -> TrackDataset:
                 continue
             if len(row) != len(TRACK_COLUMNS):
                 raise SchemaError(f"{path}:{lineno}: expected {len(TRACK_COLUMNS)} fields")
+            try:
+                case_id, track_id, frame_id, ts = (int(v) for v in row[:4])
+            except ValueError as exc:
+                raise SchemaError(f"{path}:{lineno}: {exc}") from exc
+            # a frame of dropped rows alone stays, with no states: replay
+            # holds each vehicle's latest state across it
+            states = cases.setdefault(case_id, {}).setdefault(frame_id, (ts, []))[1]
             raw_type = row[4]
             if raw_type.strip().lower() in _DROPPED_AGENT_TYPES:
                 dropped += 1
                 continue
             try:
-                case_id = int(row[0])
-                track_id = int(row[1])
-                frame_id = int(row[2])
-                ts = int(row[3])
                 x, y, vx, vy, yaw = (float(v) for v in (row[5], row[6], row[7], row[8], row[9]))
                 length = float(row[10]) if row[10] else DEFAULT_VEHICLE_LENGTH
                 width = float(row[11]) if row[11] else DEFAULT_VEHICLE_WIDTH
@@ -233,12 +238,12 @@ def load_tracks(path) -> TrackDataset:
             if key in seen:
                 raise SchemaError(f"{path}:{lineno}: duplicate (case, track, frame) {key}")
             seen.add(key)
-            cases.setdefault(case_id, {}).setdefault(frame_id, (ts, []))[1].append(state)
+            states.append(state)
 
-    if not cases:
-        raise SchemaError(f"{path}: no vehicle rows")
     out = []
     for case_id in sorted(cases):
+        if not any(states for _, states in cases[case_id].values()):
+            continue  # a case of dropped rows alone
         frames = []
         prev_ts = None
         for frame_id in sorted(cases[case_id]):
@@ -250,6 +255,8 @@ def load_tracks(path) -> TrackDataset:
             prev_ts = ts
             frames.append(SceneFrame(ts, tuple(states)))
         out.append(Case(case_id, tuple(frames)))
+    if not out:
+        raise SchemaError(f"{path}: no vehicle rows")
     if dropped:
         log.info("dropped %d non-vehicle rows from %s", dropped, path)
     return TrackDataset(out, dropped)

@@ -5,12 +5,20 @@ A run assigns one behavior model per participant, replans every
 along their planned states at 10 Hz, and logs every frame.
 Batches derive per-child seeds from the batch seed so results are
 independent of scheduling and worker count.
+
+A batch simulates each distinct tuple of specs once, serially or in a pool
+of worker processes, and hands each completed child to the caller's
+`finish` in the process that simulated it. The library's `keep_log` keeps
+the log; the CLI's scores the child and writes its log there, so a worker
+sends back a fingerprint, not frames. A worker that dies fails the children
+of the tasks it had not returned, not the batch.
 """
 from __future__ import annotations
 
 import hashlib
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 from .behavior import WorldView, plan_path_follow, plan_replay, resolve_spec
@@ -184,10 +192,11 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
 
 @dataclass(frozen=True)
 class ChildResult:
-    """One child's log, or why it failed: the message, the failing track,
-    step and model kind (None when the failure is not one participant's),
-    and the class name of the original exception. Children whose specs are
-    equal share one log object."""
+    """One child's outcome: its log and its fingerprint, each when the
+    batch's `finish` keeps it, or why it failed: the message, the failing
+    track, step and model kind (None when the failure is not one
+    participant's), and the class name of the original exception. Children
+    whose specs are equal share one log object and one fingerprint."""
 
     index: int
     assignment: Assignment
@@ -197,10 +206,11 @@ class ChildResult:
     step: int | None = None
     model_kind: str | None = None
     error_class: str | None = None
+    fingerprint: dict | None = None
 
     @property
     def ok(self) -> bool:
-        return self.log is not None
+        return self.error is None
 
 
 @dataclass(frozen=True)
@@ -209,7 +219,7 @@ class BatchResult:
 
     @property
     def logs(self):
-        return [c.log for c in self.children if c.ok]
+        return [c.log for c in self.children if c.log is not None]
 
     @property
     def failures(self):
@@ -220,12 +230,22 @@ class BatchResult:
         return len(self.failures)
 
 
+def keep_log(child, indices) -> ChildResult:
+    """The library's `finish`: a child keeps its log."""
+    return child
+
+
+# distinct children per pool task: neighbours in a batch share most of their
+# planner inputs, so contiguous chunks keep a worker's memos hitting
+CHUNK_SIZE = 64
+
 _WORKER_CTX = {}
 
 
-def _init_worker(seed, cfg):
+def _init_worker(seed, cfg, finish):
     _WORKER_CTX["seed"] = seed
     _WORKER_CTX["cfg"] = cfg
+    _WORKER_CTX["finish"] = finish
     _WORKER_CTX["plan_memo"] = {}
 
 
@@ -235,21 +255,39 @@ def _run_one(seed, assignment, cfg, index, plan_memo) -> ChildResult:
         return ChildResult(index, assignment, log)
     except Exception as exc:  # a failing child never ends the batch
         cause = (exc.__cause__ if isinstance(exc, ChildRunError) else None) or exc
-        return ChildResult(
-            index, assignment, None, error=str(exc),
-            track_id=getattr(exc, "track_id", None), step=getattr(exc, "step", None),
-            model_kind=getattr(exc, "model_kind", None),
-            error_class=type(cause).__name__,
-        )
+        return _failed(index, assignment, exc, cause)
 
 
-def _worker(args):
-    """Run one task in a pool worker. A log goes back as its frames alone,
+def _failed(index, assignment, exc, cause) -> ChildResult:
+    return ChildResult(
+        index, assignment, None, error=str(exc),
+        track_id=getattr(exc, "track_id", None), step=getattr(exc, "step", None),
+        model_kind=getattr(exc, "model_kind", None),
+        error_class=type(cause).__name__,
+    )
+
+
+def _run_task(seed, cfg, plan_memo, finish, task) -> ChildResult:
+    """Simulate a task's child, then hand a completed one to `finish` with
+    the indices of every task of its specs. `finish` runs outside
+    `_run_one`'s `except`: its own errors, such as an `OSError` from a log
+    write, end the batch instead of failing the child."""
+    index, assignment, indices = task
+    child = _run_one(seed, assignment, cfg, index, plan_memo)
+    return finish(child, indices) if child.ok else child
+
+
+def _worker(chunk):
+    """Run a chunk of tasks in a pool worker. A result goes back without its
+    assignment, which the parent has, and a kept log as its frames alone,
     which the parent puts under its own seed."""
-    index, assignment = args
-    child = _run_one(_WORKER_CTX["seed"], assignment, _WORKER_CTX["cfg"], index,
-                     _WORKER_CTX["plan_memo"])
-    return replace(child, log=child.log.frames) if child.ok else child
+    ctx = _WORKER_CTX
+    results = []
+    for task in chunk:
+        child = _run_task(ctx["seed"], ctx["cfg"], ctx["plan_memo"], ctx["finish"], task)
+        frames = None if child.log is None else child.log.frames
+        results.append(replace(child, assignment=None, log=frames))
+    return results
 
 
 def available_cpus() -> int:
@@ -259,56 +297,79 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _execute(seed, cfg, tasks, jobs) -> BatchResult:
+def _run_pool(seed, cfg, distinct, workers, finish):
+    """The results of `distinct` tasks run in a pool, in task order. A chunk
+    whose worker died fails each of its children with `BrokenProcessPool`;
+    the chunks received before are kept."""
+    chunks = [distinct[i:i + CHUNK_SIZE] for i in range(0, len(distinct), CHUNK_SIZE)]
+    results = []
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                               initargs=(seed, cfg, finish))
+    try:
+        futures = [pool.submit(_worker, chunk) for chunk in chunks]
+        for chunk, future in zip(chunks, futures):
+            try:
+                received = future.result()
+            except BrokenProcessPool as exc:
+                results += [_failed(i, a, exc, exc) for i, a, _ in chunk]
+                continue
+            results += [r if r.log is None else replace(r, log=ScenarioLog(seed, r.log))
+                        for r in received]
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return results
+
+
+def _execute(seed, cfg, tasks, jobs, finish) -> BatchResult:
     """Run the (index, assignment) `tasks`, each distinct assignment once,
     and return their children in task order.
 
     `run_child` reads nothing of an assignment but each participant's
     `ModelSpec`, so a task whose specs equal an earlier task's gets that
-    child's log, or its failure, under its own index and assignment.
+    child's result, or its failure, under its own index and assignment.
     Only the first task of each spec tuple is run: in a pool of at most
     `jobs` workers, no more than there are CPUs or such tasks, or serially
-    when that is one.
+    when that is one. Each completed child then goes through
+    `finish(child, indices)` in the process that simulated it, with the
+    indices of every task of its specs, its own first; what `finish`
+    returns is the child's result. `keep_log` keeps the log.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     ids = seed.track_ids
     keys = [tuple(assignment.mapping.get(tid) for tid in ids)
             for _, assignment in tasks]
-    firsts = {}
-    for key, task in zip(keys, tasks):
-        firsts.setdefault(key, task)
-    distinct = list(firsts.values())
+    groups = {}  # spec tuple -> (first index, its assignment, every index)
+    for key, (index, assignment) in zip(keys, tasks):
+        groups.setdefault(key, (index, assignment, []))[2].append(index)
+    distinct = list(groups.values())
     # the pool starts all its workers at the first task
     workers = min(jobs, available_cpus(), len(distinct))
     if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_worker,
-            initargs=(seed, cfg),
-        ) as pool:
-            results = [replace(r, log=ScenarioLog(seed, r.log)) if r.ok else r
-                       for r in pool.map(_worker, distinct, chunksize=64)]
+        results = _run_pool(seed, cfg, distinct, workers, finish)
     else:
         plan_memo = {}
-        results = [_run_one(seed, a, cfg, i, plan_memo) for i, a in distinct]
-    ran = dict(zip(firsts, results))
+        results = [_run_task(seed, cfg, plan_memo, finish, task) for task in distinct]
+    ran = dict(zip(groups, results))
     return BatchResult(tuple(replace(ran[key], index=index, assignment=assignment)
                              for key, (index, assignment) in zip(keys, tasks)))
 
 
 def run_batch(seed: SeedScene, roster, n_runs=DEFAULT_N_RUNS,
-              cfg: SimConfig = SimConfig(), jobs=1) -> BatchResult:
-    """Run `n_runs` sampled children; child i uses run seed rng_seed XOR i."""
+              cfg: SimConfig = SimConfig(), jobs=1, finish=keep_log) -> BatchResult:
+    """Run `n_runs` sampled children; child i uses run seed rng_seed XOR i.
+    Each completed child goes through `finish` (see `_execute`)."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     tasks = [
         (i, assign_models(seed, roster, cfg.rng_seed ^ i)) for i in range(n_runs)
     ]
-    return _execute(seed, cfg, tasks, jobs)
+    return _execute(seed, cfg, tasks, jobs, finish)
 
 
 def run_enumerated(seed: SeedScene, roster, cfg: SimConfig = SimConfig(),
-                   jobs=1, cap=DEFAULT_ENUMERATION_CAP) -> BatchResult:
-    """Run every possible assignment (|roster| ** participants children)."""
+                   jobs=1, cap=DEFAULT_ENUMERATION_CAP, finish=keep_log) -> BatchResult:
+    """Run every possible assignment (|roster| ** participants children).
+    Each completed child goes through `finish` (see `_execute`)."""
     tasks = list(enumerate(enumerate_assignments(seed, roster, cap=cap)))
-    return _execute(seed, cfg, tasks, jobs)
+    return _execute(seed, cfg, tasks, jobs, finish)

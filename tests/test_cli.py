@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 import yaml
@@ -15,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scenex
-from scenex import analysis, scene_io, simulator
+from scenex import analysis, metrics, scene_io, simulator
 from scenex.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -30,7 +32,7 @@ from scenex.metrics import read_metric_table, write_metric_table
 from scenex.scene_io import MAX_STEPS, MAX_SYNTH_VEHICLES, TRACK_COLUMNS, load_tracks
 from scenex.simulator import MAX_ENUMERATION_CAP
 from tests import oracles
-from tests.test_scene_io import make_case
+from tests.test_scene_io import PEDESTRIAN, make_case
 
 ROSTER = """\
 format: scenex-roster
@@ -161,9 +163,10 @@ class TestEnumerate:
         run_enumerated = simulator.run_enumerated
         write_log = scene_io.write_log
 
-        def recording(*args, **kwargs):
+        def recording(*args, finish, **kwargs):
+            # the CLI's children drop their logs; the library's keep them
             batches.append(run_enumerated(*args, **kwargs))
-            return batches[-1]
+            return run_enumerated(*args, finish=finish, **kwargs)
 
         def counting(log, path):
             rendered.append(path)
@@ -247,6 +250,111 @@ class TestChildFailures:
         assert main(["enumerate", "--config", str(cfg_cv), "--jobs", "1"]) == EXIT_OK
         assert (read_bytes_tree(out_cv)[os.path.join("logs", "child_00000.csv")]
                 == a[os.path.join("logs", "child_00003.csv")])
+
+
+def counted(calls, name, fn):
+    """`fn`, appending `name` to `calls` on each call in this process."""
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestWorkers:
+    """At --jobs N a child is simulated, scored and written in a pool worker
+    (forked, so each one inherits the patches below), and the parent writes
+    the tables and the manifest."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(simulator, "available_cpus", lambda: 2)
+
+    @staticmethod
+    def outputs(out):
+        tree = read_bytes_tree(out)
+        manifest = json.loads(tree.pop("manifest.json"))
+        del manifest["config"]["output_dir"]
+        return manifest, tree
+
+    def test_parent_runs_no_child(self, tmp_path, monkeypatch):
+        cfg, out = write_config(tmp_path, synth="{template: car_following, "
+                                "params: {n_vehicles: 3, gap: 20.0, speed: 10.0}}")
+        calls = []
+        for owner, name in ((simulator, "run_child"), (scene_io, "write_log"),
+                            (metrics.MetricEngine, "aggregate")):
+            monkeypatch.setattr(owner, name, counted(calls, name, getattr(owner, name)))
+        assert main(["enumerate", "--config", str(cfg), "--jobs", "2"]) == EXIT_OK
+        assert calls == []
+        serial = tmp_path / "serial"
+        assert main(["enumerate", "--config", str(cfg), "--jobs", "1",
+                     "--output-dir", str(serial)]) == EXIT_OK
+        assert set(calls) == {"run_child", "write_log", "aggregate"}
+        assert self.outputs(out) == self.outputs(serial)
+        assert len(os.listdir(out / "logs")) == 64
+
+    def test_dead_worker_fails_its_children(self, tmp_path, monkeypatch, capsys):
+        # 256 children, 4 tasks of 64: the worker that runs child 255 exits
+        # once child 63's log is written, so task 0 has most likely been
+        # received; task 3's children are failed, its logs written so far deleted
+        cfg, out = write_config(tmp_path, synth="{template: car_following, "
+                                "params: {n_vehicles: 4, gap: 20.0, speed: 10.0}}")
+        parent = os.getpid()
+        run_child = simulator.run_child
+
+        def dying(seed, assignment, *args, **kwargs):
+            if os.getpid() != parent and assignment.origin[1] == 255:
+                deadline = time.monotonic() + 10.0
+                while (not (out / "logs" / "child_00063.csv").exists()
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                time.sleep(0.5)
+                os._exit(1)
+            return run_child(seed, assignment, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "run_child", dying)
+        rc = main(["enumerate", "--config", str(cfg), "--jobs", "2"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        manifest, tree = self.outputs(out)
+        assert manifest["n_children"] == 256
+        ok = [c["index"] for c in manifest["children"] if c["status"] == "ok"]
+        failed = [c for c in manifest["children"] if c["status"] == "failed"]
+        assert manifest["n_failed"] == len(failed) >= 64
+        assert {c["index"] for c in failed} >= set(range(192, 256))
+        for child in failed:
+            assert child["error_class"] == "BrokenProcessPool"
+            assert (child["track_id"], child["step"], child["model_kind"]) == (
+                None, None, None)
+        tasks = {i // 64 for i in ok}  # received whole, and never task 3
+        assert set(ok) == {i for t in tasks for i in range(64 * t, 64 * t + 64)}
+        assert 3 not in tasks
+        assert rc == (EXIT_OK if ok else EXIT_SIMULATION)
+        warning = f"{len(failed)} child(ren) failed" if ok else "all children failed"
+        assert warning in err
+        monkeypatch.setattr(simulator, "run_child", run_child)
+        serial = tmp_path / "serial"
+        assert main(["enumerate", "--config", str(cfg), "--jobs", "1",
+                     "--output-dir", str(serial)]) == EXIT_OK
+        _, serial_tree = self.outputs(serial)
+        logs = {os.path.join("logs", f"child_{i:05d}.csv") for i in ok}
+        assert set(tree) == logs | {"metrics.csv"}
+        assert all(tree[name] == serial_tree[name] for name in logs)
+        _, rows = read_metric_table(out / "metrics.csv")
+        _, serial_rows = read_metric_table(serial / "metrics.csv")
+        assert rows == [serial_rows[i] for i in ok]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_write_error_is_an_io_error(self, tmp_path, monkeypatch, capsys, jobs):
+        cfg, _ = write_config(tmp_path)
+
+        def full(log, path):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(scene_io, "write_log", full)
+        assert main(["enumerate", "--config", str(cfg), "--jobs", jobs]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert "io error: [Errno 28] No space left on device" in err
+        assert "Traceback" not in err
 
 
 class TestValidation:
@@ -511,6 +619,20 @@ def test_recorded_future_that_skips_a_frame_rejected(tmp_path, capsys, command):
     assert "case 6: recorded future frame at 1400 ms is not 100 ms after 1200 ms" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "enumerate"])
+def test_frame_of_pedestrians_alone_replayed_across(tmp_path, capsys, command):
+    # frame 15 (1500 ms) holds one pedestrian row; were it dropped, the
+    # recorded future would skip from 1400 to 1600 ms
+    cfg, scene, out = tracks_config(tmp_path)
+    frames = list(make_case(n_frames=45).frames)
+    frames[14] = scene_io.SceneFrame(1500, (PEDESTRIAN,))
+    scene_io.write_case(1, frames, scene / "tracks.csv")
+    assert main([command, "--config", str(cfg), "--jobs", "1"]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["n_failed"] == 0 and manifest["ground_truth"]
 
 
 def tracks_config(tmp_path):

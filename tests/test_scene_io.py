@@ -43,6 +43,9 @@ def write_case_csv(path, case):
     write_case(case.case_id, case.frames, path)
 
 
+PEDESTRIAN = ParticipantState(9, "pedestrian", 0.0, 5.0, 0.0, 1.0, 0.0, 0.5, 0.5)
+
+
 class TestLoadTracks:
     def test_well_formed(self, tmp_path):
         p = tmp_path / "tracks.csv"
@@ -116,6 +119,31 @@ class TestLoadTracks:
         data = load_tracks(p)
         assert data.dropped_nonvehicle == 1
         assert data.cases[0].frames[0].track_ids == {1}
+
+    def test_frame_of_nonvehicle_rows_alone_kept(self, tmp_path):
+        # frame 15 (1500 ms) holds one pedestrian row and no vehicle
+        p = tmp_path / "tracks.csv"
+        case = make_case(n_frames=45)
+        frames = list(case.frames)
+        frames[14] = SceneFrame(1500, (PEDESTRIAN,))
+        write_case(1, frames, p)
+        data = load_tracks(p)
+        (loaded,) = data.cases
+        assert [fr.timestamp_ms for fr in loaded.frames] == \
+            [fr.timestamp_ms for fr in case.frames]
+        assert loaded.frames[14].states == ()
+        assert data.dropped_nonvehicle == 1
+        seed = extract_seed(loaded, 9)
+        assert len(seed.future) == 35 and seed.future[4].states == ()
+
+    def test_case_of_nonvehicle_rows_alone_dropped(self, tmp_path):
+        p = tmp_path / "tracks.csv"
+        write_case(0, [SceneFrame(100, (PEDESTRIAN,))], p)
+        with open(p, "a") as fh:
+            fh.write("1,1,1,100,car,0.0,0.0,1.0,0.0,0.0,4.5,1.8\n")
+        data = load_tracks(p)
+        assert [c.case_id for c in data.cases] == [1]
+        assert data.dropped_nonvehicle == 1
 
 
 class TestRoundTrip:

@@ -1,4 +1,6 @@
 import math
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -587,14 +589,51 @@ class StubPool:
         self.started.append(max_workers)
         initializer(*initargs)
 
-    def __enter__(self):
-        return self
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
-    def __exit__(self, *exc):
+    def shutdown(self, cancel_futures=False):
         simulator._WORKER_CTX.clear()
 
-    def map(self, fn, tasks, chunksize=1):
-        return [fn(task) for task in tasks]
+
+class DyingStubPool(StubPool):
+    """A `StubPool` whose worker dies in its second task."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        self.submitted += 1
+        if self.submitted == 2:
+            future = Future()
+            future.set_exception(BrokenProcessPool("a process in the pool died"))
+            return future
+        return super().submit(fn, *args)
+
+
+def test_dead_worker_fails_the_children_of_its_task(monkeypatch, roster6):
+    # 216 children, 125 distinct: task 0 runs distinct children 0-63, task 1
+    # the other 61, and the repeats of each take its outcome
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", DyingStubPool)
+    monkeypatch.setattr(simulator, "available_cpus", lambda: 2)
+    _, seed = synth_scene("car_following", {"n_vehicles": 3})
+    batch = run_enumerated(seed, roster6, jobs=2)
+    serial = run_enumerated(seed, roster6, jobs=1)
+    rank = {}  # spec tuple -> its place among the distinct children
+    for child in serial.children:
+        rank.setdefault(spec_tuple(seed, child.assignment), len(rank))
+    assert len(rank) == 125 and 0 < batch.n_failed < 216
+    for child, alone in zip(batch.children, serial.children):
+        assert (child.index, child.assignment) == (alone.index, alone.assignment)
+        if rank[spec_tuple(seed, child.assignment)] < simulator.CHUNK_SIZE:
+            assert child.log.digest == alone.log.digest and child.log.seed is seed
+            continue
+        assert (child.log, child.error, child.error_class) == (
+            None, "a process in the pool died", "BrokenProcessPool")
+        assert (child.track_id, child.step, child.model_kind) == (None, None, None)
 
 
 class TestPoolBound:
