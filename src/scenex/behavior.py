@@ -89,11 +89,14 @@ class ModelSpec:
 @dataclass(frozen=True)
 class WorldView:
     """What a model plans from: the current frame, its own track id and the
-    number of steps to plan."""
+    number of steps to plan. `projections`, when the caller has them, holds
+    the `Polyline.project` result of each state of the current frame, in
+    order, on the path the model is given, so they are not computed again."""
 
     current: SceneFrame
     self_id: int
     horizon_steps: int
+    projections: list | None = None
 
     def self_state(self) -> ParticipantState:
         state = self.current.get(self.self_id)
@@ -113,25 +116,35 @@ def resolve_spec(spec: ModelSpec, initial_speed) -> ModelSpec:
     return replace(spec, params=params)
 
 
-def path_neighbours(self_id, states, projections):
-    """(station, state) of every other participant within LEADER_CLEARANCE
-    of a path, given `projections`: the path's `Polyline.project` result for
-    each of `states`, in the same order."""
-    return [(proj[0], other) for other, proj in zip(states, projections)
-            if other.track_id != self_id and abs(proj[1]) <= LEADER_CLEARANCE]
-
-
-def leaders_ahead(me, own_station, neighbours):
-    """Yield (other, net gap) for each of `path_neighbours` ahead of
-    `own_station`, in the order given.
+def leader_gap(own_station, own_length, projection, other_length):
+    """The leader rule: the net gap along a path from a participant at
+    `own_station` to another whose `Polyline.project` result on that path is
+    `projection`, or None when the other does not lead, being more than
+    LEADER_CLEARANCE off the path or not ahead.
 
     The net gap subtracts the mean of both vehicle lengths and is clamped to
     stay positive.
     """
-    for station, other in neighbours:
-        if station > own_station:
-            yield other, max(station - own_station - 0.5 * (me.length + other.length),
-                             MIN_NET_GAP)
+    station = projection[0]
+    if station <= own_station or abs(projection[1]) > LEADER_CLEARANCE:
+        return None
+    return max(station - own_station - 0.5 * (own_length + other_length), MIN_NET_GAP)
+
+
+def neighbours_ahead(me, own_station, states, projections):
+    """(projection, speed, length) of every other participant that leads `me`
+    at `own_station` (`leader_gap`), given `projections`: the path's
+    `Polyline.project` result for each of `states`, in the same order.
+
+    Nearest first, and of equal stations the slower, then the shorter one:
+    as `me` advances along the path, its leader is the first still ahead.
+    """
+    ahead = [(proj, other.speed, other.length)
+             for other, proj in zip(states, projections)
+             if other.track_id != me.track_id
+             and leader_gap(own_station, me.length, proj, other.length) is not None]
+    ahead.sort(key=lambda e: (e[0][0], e[1], e[2]))
+    return ahead
 
 
 def idm_accel(p: IdmParams, v, s_net=math.inf, delta_v=0.0) -> float:
@@ -169,23 +182,21 @@ def plan_path_follow(view: WorldView, spec: ModelSpec, path: Polyline | None) ->
         if params is None or params.v0 is None:
             params = resolve_spec(spec, v).params
 
-    neighbours = ()
+    ahead = ()
     degenerate = path is None
     if degenerate:
         s = 0.0
         yaw = me.yaw
-    else:
-        if idm:
-            states = view.current.states
+    elif idm:
+        states = view.current.states
+        projections = view.projections
+        if projections is None:
             project = path.project
             projections = [project(other.x, other.y) for other in states]
-            s = projections[states.index(me)][0]
-            neighbours = path_neighbours(view.self_id, states, projections)
-            # nearest first, so the first one ahead leads; equal stations
-            # put the slower, then the shorter vehicle first
-            neighbours.sort(key=lambda e: (e[0], e[1].speed, e[1].length))
-        else:
-            s = path.project(me.x, me.y)[0]
+        s = projections[states.index(me)][0]
+        ahead = neighbours_ahead(me, s, states, projections)
+    else:
+        s = path.project(me.x, me.y)[0]
 
     states = []
     for _ in range(view.horizon_steps):
@@ -194,12 +205,13 @@ def plan_path_follow(view: WorldView, spec: ModelSpec, path: Polyline | None) ->
         elif spec.kind == "emergency_brake":
             a = -spec.brake_decel if v > 0.0 else 0.0
         else:
-            lead = next(leaders_ahead(me, s, neighbours), None)
-            if lead is None:
-                a = idm_accel(params, v)
+            for proj, speed, length in ahead:
+                s_net = leader_gap(s, me.length, proj, length)
+                if s_net is not None:
+                    a = idm_accel(params, v, s_net, v - speed)
+                    break
             else:
-                other, s_net = lead
-                a = idm_accel(params, v, s_net, v - other.speed)
+                a = idm_accel(params, v)
         v1 = v + a * DT
         if v1 < 0.0:
             v1 = 0.0

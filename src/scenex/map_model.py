@@ -257,16 +257,45 @@ def route_centerline(graph, route) -> Polyline:
     return Polyline(pts)
 
 
+# growth of a segment's bounding box in `path_intersection`, per metre of
+# its length plus one: far beyond `segment_intersection`'s 1e-9 parametric
+# tolerance and the rounding of a hit point, so segments whose grown boxes
+# are disjoint do not meet
+_BOX_GROWTH = 1e-6
+
+
+def _grown_boxes(p: Polyline):
+    """(min x, min y, max x, max y) of each segment of `p`, grown by
+    `_BOX_GROWTH` times its length plus one metre."""
+    boxes = []
+    xs, ys, cum = p.xs, p.ys, p.cum
+    for i in range(len(cum) - 1):
+        m = _BOX_GROWTH * (cum[i + 1] - cum[i] + 1.0)
+        x0, x1 = (xs[i], xs[i + 1]) if xs[i] <= xs[i + 1] else (xs[i + 1], xs[i])
+        y0, y1 = (ys[i], ys[i + 1]) if ys[i] <= ys[i + 1] else (ys[i + 1], ys[i])
+        boxes.append((x0 - m, y0 - m, x1 + m, y1 + m))
+    return boxes
+
+
 def path_intersection(pa: Polyline, pb: Polyline):
     """First crossing of two centerlines in increasing station order on `pa`.
 
     Returns ((x, y), station_a, station_b) or None. Collinear overlap is not
-    a crossing.
+    a crossing. A pair of segments whose grown bounding boxes
+    (`_grown_boxes`) are disjoint is skipped without intersecting it.
     """
-    for i in range(len(pa.cum) - 1):
+    boxes_b = _grown_boxes(pb)
+    # the box around all of pb's grown boxes
+    x0, y0 = min(b[0] for b in boxes_b), min(b[1] for b in boxes_b)
+    x1, y1 = max(b[2] for b in boxes_b), max(b[3] for b in boxes_b)
+    for i, (ax0, ay0, ax1, ay1) in enumerate(_grown_boxes(pa)):
+        if ax1 < x0 or x1 < ax0 or ay1 < y0 or y1 < ay0:
+            continue
         best = None
         seg_a = pa.cum[i + 1] - pa.cum[i]
-        for j in range(len(pb.cum) - 1):
+        for j, (bx0, by0, bx1, by1) in enumerate(boxes_b):
+            if ax1 < bx0 or bx1 < ax0 or ay1 < by0 or by1 < ay0:
+                continue
             hit = segment_intersection(
                 pa.xs[i], pa.ys[i], pa.xs[i + 1], pa.ys[i + 1],
                 pb.xs[j], pb.ys[j], pb.xs[j + 1], pb.ys[j + 1],

@@ -9,8 +9,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .behavior import leaders_ahead, path_neighbours
+from .behavior import leader_gap
 from .errors import OffMapError, SchemaError
 from .map_model import (
     DEFAULT_ROUTE_HORIZON,
@@ -30,7 +31,6 @@ GAP_TIME_MIN_SPEED = 0.1
 
 # the route of a participant without a route selector in its log
 _STRAIGHTEST = ("straightest", None)
-_NO_LEADERS = {}
 
 
 def effective_radius(state) -> float:
@@ -131,6 +131,19 @@ def metric_gap_time(ctx: PairContext):
     return _gap_time(ctx.d_self, ctx.d_other, ctx.a.speed, ctx.b.speed)
 
 
+class _Row(NamedTuple):
+    """What the engine keeps of a distinct state on its route: its key, and
+    the `_pair_values` of each ordered pair it starts, by the other state's
+    key. Path and station are None off the map or on a map-less seed."""
+
+    key: tuple  # (state bits, route)
+    path: object
+    station: float | None
+    speed: float
+    radius: float
+    pairs: dict
+
+
 @dataclass(frozen=True)
 class MetricStats:
     worst: float
@@ -150,7 +163,10 @@ class MetricEngine:
     The engine pays once for each distinct piece of work: a state's path,
     station, speed and radius per exact state (`state_bits`) and route, a
     state's projection per path and exact state, the crossing of two
-    paths, and a fingerprint per distinct log and routes.
+    paths, the five values of an ordered pair per pair of (exact state,
+    route) keys, and a fingerprint per distinct log and routes. A frame's
+    extrema fold its pairs' stored values; a pair recurs across frames and
+    children far more often than a whole frame does.
     """
 
     def __init__(self, map_graph, pttc_decel=DEFAULT_PTTC_DECEL,
@@ -161,7 +177,7 @@ class MetricEngine:
         self.route_horizon = route_horizon
         self._isect_cache = {}  # (path, path) -> `path_intersection`
         self._fingerprints = {}
-        self._states = {}       # (state bits, route) -> `_state_row`
+        self._states = {}       # (state bits, route) -> `_Row`
         self._projections = {}  # path -> {state bits: Polyline.project}
 
     def _routes(self, seed, assignment):
@@ -200,46 +216,57 @@ class MetricEngine:
             hit = on_path[bits] = path.project(state.x, state.y)
         return hit
 
-    def _state_row(self, state, bits, route):
-        """(path, station, speed, radius) of a state on its route; path and
-        station are None off the map or on a map-less seed."""
-        selector, seed_lane = route
+    def _state_row(self, state, key):
+        """The `_Row` of a state under its key, (state bits, route)."""
+        bits, (selector, seed_lane) = key
         try:
             path = path_for_pose(self.map_graph, state.x, state.y, state.yaw,
                                  selector, self.route_horizon, seed_lane)
         except OffMapError:
             path = None
         station = None if path is None else self._project(path, state, bits)[0]
-        return path, station, state.speed, effective_radius(state)
+        return _Row(key, path, station, state.speed, effective_radius(state), {})
 
     def _frame(self, frame, routes):
-        """(rows, leaders) of a frame, one entry per state in order: its
-        `_state_row`, and the net gap to each leader ahead on its path, by
-        track id. `routes` as in `pair_contexts`."""
-        states = frame.states
-        bits = [state_bits(s) for s in states]
+        """The `_Row` of each state of a frame, in order. A row keeps the
+        first key object built for its state, and every pair entry shares
+        it. `routes` as in `pair_contexts`."""
         memo = self._states
         rows = []
-        for state, key in zip(states, bits):
-            key = (key, routes.get(state.track_id, _STRAIGHTEST))
+        for state in frame.states:
+            key = (state_bits(state), routes.get(state.track_id, _STRAIGHTEST))
             row = memo.get(key)
             if row is None:
-                row = memo[key] = self._state_row(state, *key)
+                row = memo[key] = self._state_row(state, key)
             rows.append(row)
-        leaders = []
-        on_paths = {}  # path -> the projection of every state onto it
-        for state, (path, station, _, _) in zip(states, rows):
-            if path is None:
-                leaders.append(_NO_LEADERS)
-                continue
-            on_path = on_paths.get(path)
-            if on_path is None:
-                on_path = on_paths[path] = [self._project(path, other, key)
-                                            for other, key in zip(states, bits)]
-            neighbours = path_neighbours(state.track_id, states, on_path)
-            leaders.append({other.track_id: s_net for other, s_net
-                            in leaders_ahead(state, station, neighbours)})
-        return rows, leaders
+        return rows
+
+    def _pair(self, a, row_a, b, row_b):
+        """(s_net, crossing) of the ordered pair (a, b) with their `_Row`s:
+        the net gap when b leads a on a's path (`leader_gap`), and a's and
+        b's distances to their paths' conflict point (`_crossing`); each
+        None when there is none."""
+        s_net = None
+        if row_a.path is not None:
+            proj = self._project(row_a.path, b, row_b.key[0])
+            s_net = leader_gap(row_a.station, a.length, proj, b.length)
+        return s_net, self._crossing(row_a.path, row_a.station, row_b.path, row_b.station)
+
+    def _pair_values(self, a, row_a, b, row_b):
+        """The ordered pair's values, in `DEFAULT_METRICS` order (None where
+        undefined)."""
+        s_net, crossing = self._pair(a, row_a, b, row_b)
+        v_a, r_a = row_a.speed, row_a.radius
+        v_b, r_b = row_b.speed, row_b.radius
+        d = metric_distance(a, b)
+        gap_time = inv_ttc = pttc = None
+        if crossing is not None:
+            gap_time = _gap_time(*crossing, v_a, v_b)
+        if s_net is not None:
+            delta_v = v_a - v_b
+            inv_ttc = _inverse_ttc(s_net, delta_v)
+            pttc = _pttc(s_net, delta_v, v_a, v_b, self.pttc_decel)
+        return d, gap_time, inv_ttc, pttc, _wttc(d, r_a, r_b, v_a, v_b, self.wttc_accel)
 
     def pair_contexts(self, frame, routes=None):
         """All ordered pair contexts of a frame.
@@ -247,17 +274,17 @@ class MetricEngine:
         `routes` maps a track id to its (route selector, seed lane); any other
         participant is judged on its lane's straightest route.
         """
-        rows, leaders = self._frame(frame, routes or {})
+        rows = self._frame(frame, routes or {})
         states = frame.states
         contexts = []
-        for a, (path_a, st_a, v_a, _), gaps in zip(states, rows, leaders):
-            for b, (path_b, st_b, v_b, _) in zip(states, rows):
+        for a, row_a in zip(states, rows):
+            for b, row_b in zip(states, rows):
                 if a is b:
                     continue
-                s_net = gaps.get(b.track_id)
-                delta_v = None if s_net is None else v_a - v_b
-                crossing = self._crossing(path_a, st_a, path_b, st_b) or (None, None)
-                contexts.append(PairContext(a, b, s_net, delta_v, *crossing))
+                s_net, crossing = self._pair(a, row_a, b, row_b)
+                delta_v = None if s_net is None else row_a.speed - row_b.speed
+                contexts.append(PairContext(a, b, s_net, delta_v,
+                                            *(crossing or (None, None))))
         return contexts
 
     def pair_values(self, ctx: PairContext):
@@ -272,37 +299,31 @@ class MetricEngine:
 
     def frame_extrema(self, frame, routes=None):
         """Worst value per metric over the frame's defined pairs; of equal
-        values, the first in pair order. `routes` as in `pair_contexts`."""
-        rows, leaders = self._frame(frame, routes or {})
+        values, the first in pair order. `routes` as in `pair_contexts`.
+        Each ordered pair's values are computed once per pair of keys."""
+        rows = self._frame(frame, routes or {})
         states = frame.states
-        decel = self.pttc_decel
-        accel = self.wttc_accel
         distance = gap_time = inv_ttc = pttc = wttc = None
-        for a, (path_a, st_a, v_a, r_a), gaps in zip(states, rows, leaders):
-            for b, (path_b, st_b, v_b, r_b) in zip(states, rows):
+        for a, row_a in zip(states, rows):
+            pairs = row_a.pairs
+            for b, row_b in zip(states, rows):
                 if a is b:
                     continue
-                d = metric_distance(a, b)
+                values = pairs.get(row_b.key)
+                if values is None:
+                    values = pairs[row_b.key] = self._pair_values(a, row_a, b, row_b)
+                d, g, i, p, w = values
                 if distance is None or d < distance:
                     distance = d
-                value = _wttc(d, r_a, r_b, v_a, v_b, accel)
-                if wttc is None or value < wttc:
-                    wttc = value
-                s_net = gaps.get(b.track_id)
-                if s_net is not None:
-                    delta_v = v_a - v_b
-                    # inv_ttc is the one metric of MAX_IS_WORST
-                    value = _inverse_ttc(s_net, delta_v)
-                    if inv_ttc is None or value > inv_ttc:
-                        inv_ttc = value
-                    value = _pttc(s_net, delta_v, v_a, v_b, decel)
-                    if value is not None and (pttc is None or value < pttc):
-                        pttc = value
-                crossing = self._crossing(path_a, st_a, path_b, st_b)
-                if crossing is not None:
-                    value = _gap_time(*crossing, v_a, v_b)
-                    if value is not None and (gap_time is None or value < gap_time):
-                        gap_time = value
+                if g is not None and (gap_time is None or g < gap_time):
+                    gap_time = g
+                # inv_ttc is the one metric of MAX_IS_WORST
+                if i is not None and (inv_ttc is None or i > inv_ttc):
+                    inv_ttc = i
+                if p is not None and (pttc is None or p < pttc):
+                    pttc = p
+                if wttc is None or w < wttc:
+                    wttc = w
         extrema = (distance, gap_time, inv_ttc, pttc, wttc)
         return {m: v for m, v in zip(DEFAULT_METRICS, extrema) if v is not None}
 

@@ -17,11 +17,19 @@ from __future__ import annotations
 
 import hashlib
 import os
+import struct
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
-from .behavior import WorldView, plan_path_follow, plan_replay, resolve_spec
+from .behavior import (
+    IDM_KINDS,
+    WorldView,
+    neighbours_ahead,
+    plan_path_follow,
+    plan_replay,
+    resolve_spec,
+)
 from .errors import ChildRunError, EnumerationCapError, ScenexError
 from .map_model import DEFAULT_ROUTE_HORIZON, match_seed_lane, path_for_pose
 from .scene_io import (
@@ -30,7 +38,7 @@ from .scene_io import (
     SceneFrame,
     ScenarioLog,
     SeedScene,
-    states_key,
+    state_bits,
 )
 
 DEFAULT_N_RUNS = 385
@@ -38,6 +46,8 @@ DEFAULT_ENUMERATION_CAP = 1_000_000
 # upper bound of enumeration_cap: a batch holds every child's log in memory,
 # so a larger cap would end in a MemoryError instead of a validation error
 MAX_ENUMERATION_CAP = DEFAULT_ENUMERATION_CAP
+# a neighbour ahead in a plan key: station, speed and length, bit for bit
+_NEIGHBOUR = struct.Struct("<3d")
 
 
 @dataclass(frozen=True)
@@ -120,6 +130,54 @@ def enumerate_assignments(seed: SeedScene, roster, cap=DEFAULT_ENUMERATION_CAP):
         yield Assignment(mapping, ("enumerated", index))
 
 
+def _path(memo, graph, me, bits, spec, seed_lane, cfg):
+    """`path_for_pose` of `me`, whose `state_bits` are `bits`, once per
+    batch `memo`. Without a map there is no path (None); an `OffMapError`
+    propagates and is not stored."""
+    if graph is None:
+        return None
+    key = (bits, spec.route_selector, seed_lane, graph, cfg.route_horizon)
+    paths = memo["paths"]
+    path = paths.get(key)
+    if path is None:
+        path = paths[key] = path_for_pose(graph, me.x, me.y, me.yaw, spec.route_selector,
+                                          cfg.route_horizon, seed_lane)
+    return path
+
+
+def _plan(memo, frame, bits, i, spec, path, steps):
+    """`plan_path_follow` from `frame` for the path follower whose state is
+    its `i`th, with `bits` the `state_bits` of its states, once per batch
+    `memo` and planner input: the track id and agent type, the own state
+    bits, the resolved spec, the path, the steps, and the bit-exact
+    (station, speed, length) of every neighbour ahead (`neighbours_ahead`)
+    in the planner's order, which IDM drivers alone read. The planner reads
+    nothing else, so an equal input plans the same states. Each state is
+    projected onto a path once per batch, for the key and the planner."""
+    states = frame.states
+    me = states[i]
+    projections = None
+    ahead = b""
+    if path is not None and spec.kind in IDM_KINDS:
+        on_path = memo["projections"].setdefault(path, {})
+        projections = []
+        for state, key in zip(states, bits):
+            hit = on_path.get(key)
+            if hit is None:
+                hit = on_path[key] = path.project(state.x, state.y)
+            projections.append(hit)
+        ahead = b"".join(
+            _NEIGHBOUR.pack(proj[0], speed, length)
+            for proj, speed, length in neighbours_ahead(me, projections[i][0],
+                                                        states, projections))
+    key = (me.track_id, me.agent_type, bits[i], spec, path, steps, ahead)
+    plan = memo["plans"].get(key)
+    if plan is None:
+        plan = memo["plans"][key] = plan_path_follow(
+            WorldView(frame, me.track_id, steps, projections), spec, path)
+    return plan
+
+
 def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfig(),
               plan_memo=None) -> ScenarioLog:
     """Simulate one child-scenario under a fixed model assignment.
@@ -129,10 +187,14 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
     each for the `replan_interval` steps used before the next replan; the
     seed's earlier frames are never read.
 
-    `plan_memo` is a dict shared by the children of one batch: a path
-    follower's path and plan are computed once per distinct (track, resolved
-    spec, exact current states, map, seed lane, route horizon, steps), since
-    `path_for_pose` and the planner read nothing else.
+    `plan_memo` is a dict shared by the children of one batch; it holds
+    their "paths", "projections" and "plans" memos. A path follower's path
+    is resolved once per distinct own state, route selector and seed lane,
+    and its plan is made once per distinct planner input: its own state,
+    spec, path and steps and, for an IDM driver, the station, speed and
+    length of every vehicle ahead on its path, whatever the rest of the
+    frame holds. An `OffMapError` fails the child at its step and is never
+    stored.
     """
     ids = seed.track_ids
     missing = [tid for tid in ids if tid not in assignment.mapping]
@@ -146,9 +208,12 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
     }
     recorded = seed.frames + seed.future
     base_index = len(seed.frames) - 1
+    graph = seed.map_graph
 
     if plan_memo is None:
         plan_memo = {}
+    for name in ("paths", "projections", "plans"):
+        plan_memo.setdefault(name, {})
     seed_lanes = {}
     plans = {}
     plan_step = 0
@@ -158,28 +223,25 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
 
     for step in range(cfg.horizon_steps):
         if step % cfg.replan_interval == 0:
-            now = states_key(frame)
-            for tid in ids:
+            bits = None
+            # frames hold one state per track, in `ids` order
+            for i, tid in enumerate(ids):
                 spec = resolved[tid]
                 try:
                     if spec.kind == "replay":
                         plan = plan_replay(WorldView(frame, tid, cfg.replan_interval),
                                            recorded, base_index + step)
                     else:
-                        me = frame.get(tid)
+                        me = frame.states[i]
                         if step == 0:
                             seed_lanes[tid] = match_seed_lane(
-                                seed.map_graph, me, spec.route_selector)
-                        key = (tid, spec, now, seed.map_graph, seed_lanes[tid],
-                               cfg.route_horizon, cfg.replan_interval)
-                        plan = plan_memo.get(key)
-                        if plan is None:
-                            path = path_for_pose(
-                                seed.map_graph, me.x, me.y, me.yaw, spec.route_selector,
-                                cfg.route_horizon, seed_lanes[tid],
-                            )
-                            plan = plan_memo[key] = plan_path_follow(
-                                WorldView(frame, tid, cfg.replan_interval), spec, path)
+                                graph, me, spec.route_selector)
+                        if bits is None:
+                            bits = [state_bits(s) for s in frame.states]
+                        path = _path(plan_memo, graph, me, bits[i], spec,
+                                     seed_lanes[tid], cfg)
+                        plan = _plan(plan_memo, frame, bits, i, spec, path,
+                                     cfg.replan_interval)
                 except Exception as exc:
                     raise ChildRunError(tid, step, spec.kind, str(exc)) from exc
                 plans[tid] = plan

@@ -3,9 +3,10 @@ for the tests.
 
 `project` is the segment loop of `Polyline.project` written out from the
 polyline's vertices and stations, `match_to_lane` projects a pose onto every
-lane of the map, and `pair_contexts` projects every state once per state that
-looks for leaders and intersects the paths of every crossing pair, with none
-of the engine's memos. `frame_extrema` folds each pair's values into a running
+lane of the map, `path_intersection` intersects every segment pair of two
+paths, and `pair_contexts` projects every state once per state that looks for
+leaders and intersects the paths of every crossing pair, with none of the
+engine's memos. `frame_extrema` folds each pair's values into a running
 extremum per metric, and `aggregate` fingerprints a log through both, with
 routes of its own and without the engine's stored fingerprints. `kde` evaluates
 one kernel row per sample, and `convergence_study` runs it on every resampled
@@ -23,15 +24,10 @@ from scenex.analysis import (
     GRID_PAD_BANDWIDTHS,
     DensityEstimate,
 )
-from scenex.behavior import LEADER_CLEARANCE, leaders_ahead
+from scenex.behavior import LEADER_CLEARANCE, MIN_NET_GAP
 from scenex.errors import OffMapError
-from scenex.geometry import wrap_angle
-from scenex.map_model import (
-    DEFAULT_MATCH_DISTANCE,
-    match_seed_lane,
-    path_for_pose,
-    path_intersection,
-)
+from scenex.geometry import segment_intersection, wrap_angle
+from scenex.map_model import DEFAULT_MATCH_DISTANCE, match_seed_lane, path_for_pose
 from scenex.metrics import MAX_IS_WORST, MetricStats, PairContext
 
 
@@ -81,6 +77,26 @@ def match_to_lane(graph, x, y, yaw, max_distance=DEFAULT_MATCH_DISTANCE):
     return best[1], best[2], best[3]
 
 
+def path_intersection(pa, pb):
+    """((x, y), station_a, station_b) of the first crossing in station order
+    on `pa`, intersecting every segment pair, or None."""
+    for i in range(len(pa.cum) - 1):
+        best = None
+        for j in range(len(pb.cum) - 1):
+            hit = segment_intersection(pa.xs[i], pa.ys[i], pa.xs[i + 1], pa.ys[i + 1],
+                                       pb.xs[j], pb.ys[j], pb.xs[j + 1], pb.ys[j + 1])
+            if hit is None:
+                continue
+            x, y, t, u = hit
+            sa = pa.cum[i] + t * (pa.cum[i + 1] - pa.cum[i])
+            sb = pb.cum[j] + u * (pb.cum[j + 1] - pb.cum[j])
+            if best is None or (sa, sb) < (best[1], best[2]):
+                best = ((x, y), sa, sb)
+        if best is not None:
+            return best
+    return None
+
+
 def pair_contexts(engine, frame, routes=None):
     """`MetricEngine.pair_contexts` with each state's own station and each
     leader candidate projected separately, and the paths of each pair on
@@ -99,15 +115,14 @@ def pair_contexts(engine, frame, routes=None):
         gaps = {}
         if path is not None:
             station = project(path, state.x, state.y)[0]
-            neighbours = []
             for other in states:
                 if other.track_id == state.track_id:
                     continue
                 other_station, lateral, _ = project(path, other.x, other.y)
-                if abs(lateral) <= LEADER_CLEARANCE:
-                    neighbours.append((other_station, other))
-            gaps = {other.track_id: s_net for other, s_net
-                    in leaders_ahead(state, station, neighbours)}
+                if abs(lateral) <= LEADER_CLEARANCE and other_station > station:
+                    gaps[other.track_id] = max(
+                        other_station - station - 0.5 * (state.length + other.length),
+                        MIN_NET_GAP)
         info.append((state, path, station, gaps))
     contexts = []
     for a, path_a, st_a, gaps in info:

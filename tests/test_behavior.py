@@ -9,9 +9,9 @@ from scenex.behavior import (
     ModelSpec,
     WorldView,
     idm_accel,
-    leaders_ahead,
+    leader_gap,
     load_roster,
-    path_neighbours,
+    neighbours_ahead,
     plan_path_follow,
     plan_replay,
     profile_params,
@@ -37,14 +37,22 @@ def main_path(straight_map):
 
 
 def first_leader(view, path):
-    """(leader, net gap) of the view's own vehicle on `path`, or None."""
+    """(leader, net gap) of the view's own vehicle on `path`, or None: the
+    nearest other vehicle that `leader_gap` lets lead."""
     me = view.self_state()
-    own_station, _ = path.project(me.x, me.y)[:2]
-    states = view.current.states
-    projections = [path.project(s.x, s.y) for s in states]
-    neighbours = sorted(path_neighbours(view.self_id, states, projections),
-                        key=lambda e: e[0])
-    return next(leaders_ahead(me, own_station, neighbours), None)
+    own_station = path.project(me.x, me.y)[0]
+    leads = []
+    for other in view.current.states:
+        if other is me:
+            continue
+        projection = path.project(other.x, other.y)
+        s_net = leader_gap(own_station, me.length, projection, other.length)
+        if s_net is not None:
+            leads.append((projection[0], other, s_net))
+    if not leads:
+        return None
+    _, leader, s_net = min(leads, key=lambda e: e[0])
+    return leader, s_net
 
 
 class TestFindLeader:
@@ -72,6 +80,17 @@ class TestFindLeader:
     def test_overlapping_gap_clamped(self, main_path):
         view = view_of([state(1, 10.0), state(2, 12.0)], 1)
         assert first_leader(view, main_path)[1] == pytest.approx(0.01)
+
+    def test_neighbours_ahead_nearest_then_slower_then_shorter(self, main_path):
+        me = state(1, 10.0)
+        states = [me, state(2, 30.0, 1.0, vx=8.0, length=5.0),
+                  state(3, 30.0, -1.0, vx=8.0, length=4.0), state(4, 30.0, 0.5, vx=6.0),
+                  state(5, 20.0), state(6, 5.0), state(7, 25.0, 6.0), state(8, 10.0, 2.0)]
+        projections = [main_path.project(s.x, s.y) for s in states]
+        ahead = neighbours_ahead(me, 10.0, states, projections)
+        # 6 is behind, 8 level with 1, and 7 beyond the clearance
+        assert [(p[0], speed, length) for p, speed, length in ahead] == [
+            (20.0, 0.0, 4.5), (30.0, 6.0, 4.5), (30.0, 8.0, 4.0), (30.0, 8.0, 5.0)]
 
 
 class TestIdmAccel:

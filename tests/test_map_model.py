@@ -324,6 +324,81 @@ def test_path_intersection_identical_overlap_none():
     assert path_intersection(a, b) is None
 
 
+class TestPathIntersectionPruning:
+    """`path_intersection` skips segment pairs whose grown bounding boxes are
+    disjoint; it must return what intersecting every pair returns, bit for
+    bit."""
+
+    @pytest.mark.parametrize("a, b", [
+        # crossing at a vertex of both paths
+        ([(0, 0), (10, 10), (20, 0)], [(0, 20), (10, 10), (20, 20)]),
+        # crossing at a vertex of one path
+        ([(0, 0), (10, 0), (20, 0)], [(10, -5), (10, 5)]),
+        # one path ends on the other
+        ([(0, 0), (10, 0)], [(10, -5), (10, 5)]),
+        ([(0, 0), (10, 0)], [(5, 0), (5, 5)]),
+        # endpoint to endpoint, at an angle and straight on
+        ([(0, 0), (10, 0)], [(10, 0), (20, 7)]),
+        ([(0, 0), (10, 0)], [(10, 0), (20, 0)]),
+        # collinear overlap, then a crossing
+        ([(0, 0), (10, 0), (20, 5)], [(5, 0), (15, 0), (15, -5)]),
+        ([(0, 0), (10, 0)], [(5, 0), (15, 0)]),
+        # a hit just past a segment end, inside the 1e-9 parametric tolerance
+        ([(0, 0), (10, 0)], [(10 + 5e-9, -5), (10 + 5e-9, 5)]),
+        ([(0, 0), (1000, 0)], [(1000 + 5e-7, -5), (1000 + 5e-7, 5)]),
+        # and just outside it
+        ([(0, 0), (10, 0)], [(10 + 5e-7, -5), (10 + 5e-7, 5)]),
+        # a path that comes back across the other
+        ([(0, 0), (30, 0)], [(5, 5), (10, -5), (20, 5), (25, -5)]),
+    ])
+    def test_hand_made(self, a, b):
+        pa, pb = Polyline(a), Polyline(b)
+        for p, q in ((pa, pb), (pb, pa)):
+            assert bits(path_intersection(p, q)) == bits(oracles.path_intersection(p, q))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_polylines(self, data):
+        # vertices on a coarse grid meet, touch and overlap often; scaled,
+        # offset and nudged copies leave the grid
+        grid = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+
+        def polyline():
+            points = data.draw(st.lists(grid, min_size=2, max_size=6))
+            scale = data.draw(st.sampled_from([1.0, 0.1, 7.3, 250.0]))
+            offset = data.draw(st.sampled_from([0.0, 1e3, -3.7e4]))
+            nudge = data.draw(st.sampled_from([0.0, 1e-10, 3e-7, 0.3]))
+            pts = []
+            for k, (x, y) in enumerate(points):
+                pt = (x * scale + offset + nudge * (k % 2), y * scale + offset)
+                if not pts or pt != pts[-1]:
+                    pts.append(pt)
+            try:
+                return Polyline(pts)
+            except GeometryError:
+                return None
+
+        pa, pb = polyline(), polyline()
+        if pa is None or pb is None:
+            return
+        assert bits(path_intersection(pa, pb)) == bits(oracles.path_intersection(pa, pb))
+
+    def test_junction_routes(self, junction_scene):
+        graph, _ = junction_scene
+        paths = {graph.lane_path(lane_id, selector)
+                 for lane_id in graph.lane_ids for selector in ("straightest", 0, 1)
+                 if selector == "straightest" or selector < len(
+                     enumerate_routes(graph, lane_id))}
+        paths = sorted(paths, key=lambda p: p.points)
+        hits = 0
+        for pa in paths:
+            for pb in paths:
+                got = path_intersection(pa, pb)
+                assert bits(got) == bits(oracles.path_intersection(pa, pb))
+                hits += got is not None
+        assert hits > 0
+
+
 def test_path_for_pose_end_to_end(t_junction_map):
     path = path_for_pose(t_junction_map, 10.0, 0.5, 0.0)
     assert path.points == route_centerline(t_junction_map, ("A", "B")).points

@@ -28,6 +28,7 @@ from scenex.scene_io import (
     ParticipantState,
     SceneFrame,
     ScenarioLog,
+    SeedScene,
     states_key,
     synth_scene,
     write_log,
@@ -668,6 +669,99 @@ class TestFoldAgainstOracle:
                                                             child.log, child.assignment))
             defined |= set(vector)
         assert defined == set(DEFAULT_METRICS)
+
+
+class TestPairMemo:
+    """`frame_extrema` stores each ordered pair's values under the pair of
+    its states' keys (exact state, route) and folds the stored values. One
+    engine that scores a batch's logs in turn must equal a fresh engine per
+    log and the oracle, bit for bit."""
+
+    @staticmethod
+    def check(graph, logs):
+        engine = MetricEngine(graph)
+        for log, assignment in logs:
+            vector = engine.aggregate(log, assignment)
+            assert exact(vector) == exact(MetricEngine(graph).aggregate(log, assignment))
+            assert exact(vector) == exact(oracles.aggregate(MetricEngine(graph), log,
+                                                            assignment))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_batch_of_logs_bits(self, data):
+        # each track draws its states from a small pool that holds a state's
+        # twin with the signs of its zeros flipped, and states 20 m off the
+        # lanes; each log draws every track's route selector
+        from scenex.simulator import Assignment
+
+        graph = FOLD_MAPS[data.draw(st.sampled_from(sorted(FOLD_MAPS)))]
+        n = data.draw(st.integers(2, 4))
+        pools = []
+        for tid in range(1, n + 1):
+            pool = data.draw(st.lists(fold_state(graph, tid), min_size=1, max_size=3))
+            pools.append(pool + [flipped_zeros(pool[0])])
+        seed = SeedScene(graph, (SceneFrame(100, tuple(pool[0] for pool in pools)),))
+        logs = []
+        for _ in range(data.draw(st.integers(2, 5))):
+            frames = tuple(SceneFrame(100 * (k + 2), tuple(
+                data.draw(st.sampled_from(pool)) for pool in pools))
+                for k in range(data.draw(st.integers(1, 4))))
+            mapping = {}
+            for s in seed.current.states:
+                selector = data.draw(st.sampled_from(["straightest", 0, 1]))
+                try:
+                    lane = match_seed_lane(graph, s, selector)
+                    path_for_pose(graph, s.x, s.y, s.yaw, selector, seed_lane=lane)
+                except (OffMapError, RouteSelectionError):
+                    selector = "straightest"
+                mapping[s.track_id] = ModelSpec("constant_velocity",
+                                                route_selector=selector)
+            logs.append((ScenarioLog(seed, frames), Assignment(mapping, ("sampled", 0))))
+        self.check(graph, logs)
+
+    def test_signed_zeros_and_off_map_states(self):
+        # vehicle 2 stands still with vx 0.0 or -0.0; vehicle 3 is 20 m off the lane
+        from scenex.simulator import Assignment
+
+        graph = FOLD_MAPS["following"]
+
+        def log(vx):
+            frames = tuple(SceneFrame(100 * (k + 1), (
+                state(1, 20.0 + k, vx=10.0), state(2, 40.0, vx=vx),
+                state(3, 30.0, 20.0, vx=5.0),
+            )) for k in range(10))
+            return ScenarioLog(SeedScene(graph, frames[:1]), frames)
+
+        plus, minus = log(0.0), log(-0.0)
+        assert plus.digest != minus.digest
+        cv = ModelSpec("constant_velocity")
+        everyone = Assignment({1: cv, 2: cv, 3: cv}, ("sampled", 0))
+        self.check(graph, [(plus, everyone), (minus, everyone), (plus, everyone)])
+
+    def test_crossing_pairs(self):
+        graph, seed = synth_scene("crossing", {"speed_b": 7.0})
+        batch = run_enumerated(seed, MEMO_ROSTER)
+        self.check(graph, [(c.log, c.assignment) for c in batch.children])
+        engine = MetricEngine(graph)
+        assert any("gap_time" in engine.aggregate(c.log, c.assignment)
+                   for c in batch.children)
+
+    def test_one_state_on_two_routes(self, t_junction_map):
+        from scenex.simulator import Assignment
+        from tests.test_simulator import seed_of
+
+        # vehicle 2 is ahead of vehicle 1 only on the route that turns onto
+        # C; the same frames are scored with 1 on either route, in turn
+        seed = seed_of(t_junction_map, (1, 30.0, 0.0, 0.0, 10.0),
+                       (2, 60.0, 30.0, math.pi / 2, 5.0))
+        log = ScenarioLog(seed, seed.frames)
+        cv = ModelSpec("constant_velocity")
+        logs = [(log, Assignment({1: ModelSpec("constant_velocity", route_selector=sel),
+                                  2: cv}, ("sampled", 0))) for sel in (1, 0, 1, 0)]
+        self.check(t_junction_map, logs)
+        engine = MetricEngine(t_junction_map)
+        assert ["inv_ttc" in engine.aggregate(*entry) for entry in logs] == [
+            True, False, True, False]
 
 
 class TestMetricTable:

@@ -7,7 +7,7 @@ import pytest
 from scenex import simulator
 from scenex.behavior import ModelSpec, WorldView, plan_path_follow, profile_params
 from scenex.errors import ChildRunError, EnumerationCapError, ScenexError
-from scenex.map_model import MapGraph
+from scenex.map_model import MapGraph, match_seed_lane
 from scenex.metrics import MetricEngine
 from scenex.scene_io import (
     MAX_STEPS,
@@ -15,6 +15,7 @@ from scenex.scene_io import (
     SceneFrame,
     SeedScene,
     extract_seed,
+    state_bits,
     synth_scene,
     write_log,
 )
@@ -353,6 +354,8 @@ class TestPlanMemo:
 
     def test_path_resolved_only_for_a_plan(self, t_junction_map, planner_calls,
                                            monkeypatch):
+        # a path is resolved once per distinct (own state, route selector,
+        # seed lane) of a path follower at a replan, before its plan lookup
         path_calls = []
         original = simulator.path_for_pose
 
@@ -368,7 +371,20 @@ class TestPlanMemo:
                   ModelSpec("constant_velocity"), ModelSpec("replay")]
         batch = run_enumerated(seed, roster)
         assert batch.n_failed == 0
-        assert len(path_calls) == len(planner_calls) > 0
+        cfg = SimConfig()
+        inputs = set()
+        for child in batch.children:
+            frames = (seed.current,) + child.log.frames  # the frame of each step
+            for tid, spec in child.assignment.mapping.items():
+                if spec.kind == "replay":
+                    continue
+                seed_lane = match_seed_lane(t_junction_map, seed.current.get(tid),
+                                            spec.route_selector)
+                for step in range(0, cfg.horizon_steps, cfg.replan_interval):
+                    inputs.add((state_bits(frames[step].get(tid)), spec.route_selector,
+                                seed_lane))
+        assert len(path_calls) == len(inputs) > 0
+        assert len(planner_calls) > 0
 
     def test_mapless_seed(self, planner_calls):
         seed = seed_of(None, (1, 0.0, 0.0, 0.3, 9.0), (2, 20.0, 5.0, 0.3, 7.0))
@@ -419,27 +435,19 @@ class TestPlanMemo:
         assert run_child(second_seed, a, plan_memo=memo).digest == alone.digest
         assert alone.frames[:5] != first.frames[5:10]  # the routes part ways
 
-    def test_signed_zero_is_another_input(self, straight_map, planner_calls,
-                                          tmp_path):
-        # vehicle 2 stands in the recording with vy 0.0 or -0.0
-        def recording(vy):
-            return tuple(SceneFrame(100 * (f + 1), (
-                ParticipantState(1, "car", 10.0 + 0.8 * f, 0.0, 0.0, 8.0, 0.0),
-                ParticipantState(2, "car", 60.0, 0.0, 0.0, 0.0, vy),
-            )) for f in range(45))
-
-        a = simulator.Assignment({1: ModelSpec("standard"), 2: ModelSpec("replay")},
-                                 ("sampled", 0))
+    def test_signed_zero_is_another_input(self, planner_calls, tmp_path):
+        # a vehicle without a map drives along its yaw, 0.0 or -0.0, which
+        # its planned yaw and vy carry on
+        a = simulator.Assignment({1: ModelSpec("standard")}, ("sampled", 0))
         memo = {}
         logs = []
-        for vy in (0.0, -0.0):
-            rec = recording(vy)
-            seed = SeedScene(straight_map, rec[:10], future=rec[10:])
+        for yaw in (0.0, -0.0):
+            seed = seed_of(None, (1, 10.0, 0.0, yaw, 8.0))
             logs.append(run_child(seed, a, plan_memo=memo))
             assert logs[-1].digest == run_child(seed, a).digest
         # each child planned every replan itself: no key matched across them
         assert len(planner_calls) == 4 * 6
-        assert len(memo) == 2 * 6
+        assert len(memo["plans"]) == 2 * 6
         assert logs[0].frames == logs[1].frames  # equal as numbers only
         assert logs[0].digest != logs[1].digest
         write_log(logs[0], tmp_path / "plus.csv")
@@ -447,7 +455,10 @@ class TestPlanMemo:
         plus = (tmp_path / "plus.csv").read_text()
         minus = (tmp_path / "minus.csv").read_text()
         assert minus != plus
-        assert minus == plus.replace("car,60.0,0.0,0.0,0.0,", "car,60.0,0.0,0.0,-0.0,")
+        assert "-0.0," not in plus
+        unsigned = [",".join("0.0" if f == "-0.0" else f for f in line.split(","))
+                    for line in minus.splitlines()]
+        assert unsigned == plus.splitlines()
 
     def test_failing_spec_fails_every_child_that_draws_it(self, following_scene):
         _, seed = following_scene
@@ -485,6 +496,89 @@ def spec_tuple(seed, assignment):
 def child_bits(batch):
     return [(c.index, c.assignment, c.log and c.log.digest, c.error, c.track_id,
              c.step, c.model_kind, c.error_class) for c in batch.children]
+
+
+class TestPlanKey:
+    """A path follower's plan is stored under the planner's whole input: its
+    own state, spec, path and steps, and, for an IDM driver, every
+    neighbour ahead on its path, not the rest of the frame."""
+
+    def test_passing_a_slower_neighbour(self, straight_map, planner_calls):
+        # the standard driver 1 is too fast to stop behind the slow 2 and
+        # passes it in the replan interval that starts at step 5; 3 then
+        # leads, and where 3 is at step 5 depends on its own model
+        seed = seed_of(straight_map, (1, 10.0, 0.0, 0.0, 25.0),
+                       (2, 25.0, 0.0, 0.0, 2.0), (3, 50.0, 0.0, 0.0, 20.0))
+        roster = [ModelSpec("standard"), ModelSpec("constant_velocity"),
+                  ModelSpec("emergency_brake")]
+        batch = run_enumerated(seed, roster)
+        in_batch = len(planner_calls)
+        assert batch.n_failed == 0
+        assert_children_run_alone(batch, seed)
+        assert in_batch < (len(planner_calls) - in_batch) / 2
+        third_at_5 = set()
+        for child in batch.children:
+            kinds = child.assignment.kinds()
+            if (kinds[1], kinds[2]) != ("standard", "constant_velocity"):
+                continue
+            frames = (seed.current,) + child.log.frames
+            ahead = [frames[k].get(2).x > frames[k].get(1).x for k in range(11)]
+            assert ahead == [True] * 8 + [False] * 3  # passed within steps 5-9
+            third_at_5.add(frames[5].get(3).x)
+        assert len(third_at_5) == 2  # emergency braking, or not
+
+    def test_neighbours_tied_on_station(self, straight_map, planner_calls):
+        # 2 and 3 stand side by side 50 m ahead of 1, both within the
+        # clearance of its path; the planner orders them by speed, then
+        # length, and follows the first. One memo serves every seed.
+        def seed(speed_2, length_2, speed_3, length_3):
+            return SeedScene(straight_map, (SceneFrame(100, (
+                ParticipantState(1, "car", 10.0, 0.0, 0.0, 15.0, 0.0),
+                ParticipantState(2, "car", 60.0, 1.0, 0.0, speed_2, 0.0, length_2),
+                ParticipantState(3, "car", 60.0, -1.0, 0.0, speed_3, 0.0, length_3),
+            )),))
+
+        seeds = [seed(8.0, 5.0, 8.0, 4.0), seed(8.0, 4.0, 8.0, 5.0),
+                 seed(8.0, 5.0, 8.0, 3.0), seed(6.0, 5.0, 8.0, 5.0),
+                 seed(8.0, 5.0, 8.0, 5.0)]
+        memo = {}
+        firsts = []
+        for one in ("standard", "risky"):
+            for others in (("constant_velocity",) * 2,
+                           ("constant_velocity", "emergency_brake")):
+                specs = map(ModelSpec, (one,) + others)
+                a = simulator.Assignment(dict(zip((1, 2, 3), specs)), ("sampled", 0))
+                for s in seeds:
+                    log = run_child(s, a, plan_memo=memo)
+                    alone = run_child(s, a)
+                    assert log.digest == alone.digest
+                    firsts.append(tuple(f.get(1) for f in log.frames))
+        # the first two seeds differ only in which track holds which length
+        assert firsts[0] == firsts[1] and firsts[0] != firsts[2]
+        in_memo = len(memo["plans"])
+        assert in_memo < len(planner_calls) - in_memo
+
+    def test_lead_vehicle_planned_once_per_own_state(self, planner_calls):
+        _, seed = synth_scene("car_following", {"n_vehicles": 3})
+        roster = [ModelSpec("standard"), ModelSpec("risky"),
+                  ModelSpec("constant_velocity"), ModelSpec("emergency_brake"),
+                  ModelSpec("replay")]
+        batch = run_enumerated(seed, roster)
+        assert batch.n_failed == 0
+        lead = max(seed.current.states, key=lambda s: s.x).track_id
+        cfg = SimConfig()
+        inputs = set()
+        for child in batch.children:
+            spec = child.assignment.mapping[lead]
+            if spec.kind == "replay":
+                continue
+            frames = (seed.current,) + child.log.frames
+            for step in range(0, cfg.horizon_steps, cfg.replan_interval):
+                inputs.add((spec, state_bits(frames[step].get(lead))))
+        # nothing is ahead of the lead, so each of its four models plans one
+        # trajectory, whatever the 25 assignments of its followers; a stopped
+        # emergency braker's last two replans start from one state
+        assert planner_calls.count(lead) == len(inputs) == 4 * 6 - 1
 
 
 class TestDistinctAssignments:
