@@ -122,8 +122,8 @@ class _ScoreAndWrite:
     index of its specs, then drops the log, so a pool worker sends back the
     fingerprint alone.
 
-    Equal digests (timestamps, ids, agent types and float bits; the case id
-    is the batch's) mean equal bytes, so each distinct log is rendered once
+    Equal digests (timestamps and each state's exact `key`; the case id is
+    the batch's) mean equal bytes, so each distinct log is rendered once
     per process and copied for the rest.
     """
 

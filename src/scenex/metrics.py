@@ -19,7 +19,6 @@ from .map_model import (
     path_for_pose,
     path_intersection,
 )
-from .scene_io import state_bits
 
 DEFAULT_METRICS = ("distance", "gap_time", "inv_ttc", "pttc", "wttc")
 # metrics whose scenario worst is the maximum; all others minimize
@@ -63,8 +62,8 @@ class PairContext:
         return self.d_self is not None
 
 
-# The scalar kernels below hold each formula once; the metric_* functions
-# and the engine's frame fold both call them.
+# The scalar kernels below hold each formula once; the metric_* functions,
+# `MetricEngine.pair_values` and the engine's frame fold call them.
 
 def _inverse_ttc(s_net, delta_v) -> float:
     return delta_v / s_net if delta_v > 0.0 else 0.0
@@ -95,10 +94,6 @@ def _gap_time(d_self, d_other, v_a, v_b):
     return abs(d_self / v_a - d_other / v_b)
 
 
-def metric_distance(a, b) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
-
-
 def metric_inverse_ttc(ctx: PairContext):
     """1/TTC of a car-following pair; 0 when the gap is opening."""
     if not ctx.following:
@@ -119,24 +114,18 @@ def metric_wttc(ctx: PairContext, accel=DEFAULT_WTTC_ACCEL) -> float:
 
     Defined for every pair; 0 when the footprints already overlap.
     """
-    return _wttc(metric_distance(ctx.a, ctx.b), effective_radius(ctx.a),
-                 effective_radius(ctx.b), ctx.a.speed, ctx.b.speed, accel)
-
-
-def metric_gap_time(ctx: PairContext):
-    """Difference of predicted arrival times at the paths' conflict point;
-    undefined when either participant is at most `GAP_TIME_MIN_SPEED`."""
-    if not ctx.crossing:
-        return None
-    return _gap_time(ctx.d_self, ctx.d_other, ctx.a.speed, ctx.b.speed)
+    a, b = ctx.a, ctx.b
+    return _wttc(math.hypot(a.x - b.x, a.y - b.y), effective_radius(a),
+                 effective_radius(b), a.speed, b.speed, accel)
 
 
 class _Row(NamedTuple):
-    """What the engine keeps of a distinct state on its route: its key, and
-    the `_pair_values` of each ordered pair it starts, by the other state's
+    """What the engine keeps of a distinct state on its route: its key, the
+    state's exact content (`ParticipantState.key`) and route, and the
+    `_pair_values` of each ordered pair it starts, by the other state's row
     key. Path and station are None off the map or on a map-less seed."""
 
-    key: tuple  # (state bits, route)
+    key: tuple  # (state key, route)
     path: object
     station: float | None
     speed: float
@@ -161,9 +150,9 @@ class MetricEngine:
     its route's centerline, one `Polyline` per route.
 
     The engine pays once for each distinct piece of work: a state's path,
-    station, speed and radius per exact state (`state_bits`) and route, a
-    state's projection per path and exact state, the crossing of two
-    paths, the five values of an ordered pair per pair of (exact state,
+    station, speed and radius per exact state (`ParticipantState.key`) and
+    route, a state's projection per path and exact state, the crossing of
+    two paths, the five values of an ordered pair per pair of (exact state,
     route) keys, and a fingerprint per distinct log and routes. A frame's
     extrema fold its pairs' stored values; a pair recurs across frames and
     children far more often than a whole frame does.
@@ -177,8 +166,8 @@ class MetricEngine:
         self.route_horizon = route_horizon
         self._isect_cache = {}  # (path, path) -> `path_intersection`
         self._fingerprints = {}
-        self._states = {}       # (state bits, route) -> `_Row`
-        self._projections = {}  # path -> {state bits: Polyline.project}
+        self._states = {}       # (state key, route) -> `_Row`
+        self._projections = {}  # path -> {state key: Polyline.project}
 
     def _routes(self, seed, assignment):
         """track id -> (route selector, seed lane) for non-default selectors."""
@@ -209,22 +198,22 @@ class MetricEngine:
             return sa - station_a, sb - station_b
         return None
 
-    def _project(self, path, state, bits):
+    def _project(self, path, state):
         on_path = self._projections.setdefault(path, {})
-        hit = on_path.get(bits)
+        hit = on_path.get(state.key)
         if hit is None:
-            hit = on_path[bits] = path.project(state.x, state.y)
+            hit = on_path[state.key] = path.project(state.x, state.y)
         return hit
 
     def _state_row(self, state, key):
-        """The `_Row` of a state under its key, (state bits, route)."""
-        bits, (selector, seed_lane) = key
+        """The `_Row` of a state under its key, (state key, route)."""
+        _, (selector, seed_lane) = key
         try:
             path = path_for_pose(self.map_graph, state.x, state.y, state.yaw,
                                  selector, self.route_horizon, seed_lane)
         except OffMapError:
             path = None
-        station = None if path is None else self._project(path, state, bits)[0]
+        station = None if path is None else self._project(path, state)[0]
         return _Row(key, path, station, state.speed, effective_radius(state), {})
 
     def _frame(self, frame, routes):
@@ -234,7 +223,7 @@ class MetricEngine:
         memo = self._states
         rows = []
         for state in frame.states:
-            key = (state_bits(state), routes.get(state.track_id, _STRAIGHTEST))
+            key = (state.key, routes.get(state.track_id, _STRAIGHTEST))
             row = memo.get(key)
             if row is None:
                 row = memo[key] = self._state_row(state, key)
@@ -248,7 +237,7 @@ class MetricEngine:
         None when there is none."""
         s_net = None
         if row_a.path is not None:
-            proj = self._project(row_a.path, b, row_b.key[0])
+            proj = self._project(row_a.path, b)
             s_net = leader_gap(row_a.station, a.length, proj, b.length)
         return s_net, self._crossing(row_a.path, row_a.station, row_b.path, row_b.station)
 
@@ -258,7 +247,7 @@ class MetricEngine:
         s_net, crossing = self._pair(a, row_a, b, row_b)
         v_a, r_a = row_a.speed, row_a.radius
         v_b, r_b = row_b.speed, row_b.radius
-        d = metric_distance(a, b)
+        d = math.hypot(a.x - b.x, a.y - b.y)
         gap_time = inv_ttc = pttc = None
         if crossing is not None:
             gap_time = _gap_time(*crossing, v_a, v_b)
@@ -288,10 +277,15 @@ class MetricEngine:
         return contexts
 
     def pair_values(self, ctx: PairContext):
-        """All metric values for one ordered pair (None where undefined)."""
+        """All metric values for one ordered pair (None where undefined).
+        Gap time is the difference of predicted arrival times at the paths'
+        conflict point, undefined off a crossing and when either participant
+        is at most `GAP_TIME_MIN_SPEED`."""
+        a, b = ctx.a, ctx.b
         return {
-            "distance": metric_distance(ctx.a, ctx.b),
-            "gap_time": metric_gap_time(ctx),
+            "distance": math.hypot(a.x - b.x, a.y - b.y),
+            "gap_time": (_gap_time(ctx.d_self, ctx.d_other, a.speed, b.speed)
+                         if ctx.crossing else None),
             "inv_ttc": metric_inverse_ttc(ctx),
             "pttc": metric_pttc(ctx, self.pttc_decel),
             "wttc": metric_wttc(ctx, self.wttc_accel),

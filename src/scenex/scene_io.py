@@ -59,8 +59,9 @@ class ParticipantState:
     width: float = DEFAULT_VEHICLE_WIDTH
 
     def __post_init__(self):
-        if self.length <= 0.0 or self.width <= 0.0:
-            raise ValueError(f"track {self.track_id}: non-positive dimensions")
+        if not (0.0 < self.length < math.inf and 0.0 < self.width < math.inf):
+            raise ValueError(f"track {self.track_id}: length and width must be "
+                             "finite and positive")
         if not (math.isfinite(self.x) and math.isfinite(self.y)
                 and math.isfinite(self.yaw)
                 and math.isfinite(self.vx) and math.isfinite(self.vy)):
@@ -70,6 +71,14 @@ class ParticipantState:
     @property
     def speed(self) -> float:
         return math.hypot(self.vx, self.vy)
+
+    @cached_property
+    def key(self) -> bytes:
+        """The state's exact content, packed once per state object: its track
+        id, agent type and seven floats bit for bit, so 0.0 and -0.0 differ.
+        Every memo of a state's work keys on it."""
+        return b"%a %a" % (self.track_id, self.agent_type) + _STATE_FLOATS.pack(
+            self.x, self.y, self.yaw, self.vx, self.vy, self.length, self.width)
 
 
 @dataclass(frozen=True)
@@ -93,21 +102,6 @@ class SceneFrame:
             if s.track_id == track_id:
                 return s
         return None
-
-
-def state_bits(s) -> bytes:
-    """A state's seven floats, bit for bit, so 0.0 and -0.0 differ."""
-    return _STATE_FLOATS.pack(s.x, s.y, s.yaw, s.vx, s.vy, s.length, s.width)
-
-
-def states_key(frame) -> bytes:
-    """The exact content of a frame's states, in track order: every field,
-    floats as `state_bits`. The timestamp is left out."""
-    parts = []
-    for s in frame.states:
-        parts.append(b"%a %a" % (s.track_id, s.agent_type))
-        parts.append(state_bits(s))
-    return b"".join(parts)
 
 
 @dataclass(frozen=True)
@@ -155,11 +149,13 @@ class ScenarioLog:
 
     @cached_property
     def digest(self) -> bytes:
-        """sha256 of the frames' exact content (timestamps and `states_key`)."""
+        """sha256 of the frames' exact content: each timestamp and the `key`
+        of each state, in track order."""
         h = hashlib.sha256()
         for frame in self.frames:
             h.update(b"%d:" % frame.timestamp_ms)
-            h.update(states_key(frame))
+            for s in frame.states:
+                h.update(s.key)
         return h.digest()
 
 

@@ -38,7 +38,6 @@ from .scene_io import (
     SceneFrame,
     ScenarioLog,
     SeedScene,
-    state_bits,
 )
 
 DEFAULT_N_RUNS = 385
@@ -130,13 +129,13 @@ def enumerate_assignments(seed: SeedScene, roster, cap=DEFAULT_ENUMERATION_CAP):
         yield Assignment(mapping, ("enumerated", index))
 
 
-def _path(memo, graph, me, bits, spec, seed_lane, cfg):
-    """`path_for_pose` of `me`, whose `state_bits` are `bits`, once per
-    batch `memo`. Without a map there is no path (None); an `OffMapError`
-    propagates and is not stored."""
+def _path(memo, graph, me, spec, seed_lane, cfg):
+    """`path_for_pose` of `me`, once per batch `memo` and exact state (its
+    `key`), route selector and seed lane. Without a map there is no path
+    (None); an `OffMapError` propagates and is not stored."""
     if graph is None:
         return None
-    key = (bits, spec.route_selector, seed_lane, graph, cfg.route_horizon)
+    key = (me.key, spec.route_selector, seed_lane, graph, cfg.route_horizon)
     paths = memo["paths"]
     path = paths.get(key)
     if path is None:
@@ -145,15 +144,15 @@ def _path(memo, graph, me, bits, spec, seed_lane, cfg):
     return path
 
 
-def _plan(memo, frame, bits, i, spec, path, steps):
+def _plan(memo, frame, i, spec, path, steps):
     """`plan_path_follow` from `frame` for the path follower whose state is
-    its `i`th, with `bits` the `state_bits` of its states, once per batch
-    `memo` and planner input: the track id and agent type, the own state
-    bits, the resolved spec, the path, the steps, and the bit-exact
-    (station, speed, length) of every neighbour ahead (`neighbours_ahead`)
-    in the planner's order, which IDM drivers alone read. The planner reads
-    nothing else, so an equal input plans the same states. Each state is
-    projected onto a path once per batch, for the key and the planner."""
+    its `i`th, once per batch `memo` and planner input: the own state's
+    exact content (its `key`: track id, agent type and floats), the resolved
+    spec, the path, the steps, and the bit-exact (station, speed, length) of
+    every neighbour ahead (`neighbours_ahead`) in the planner's order, which
+    IDM drivers alone read. The planner reads nothing else, so an equal
+    input plans the same states. Each exact state is projected onto a path
+    once per batch, for the key and the planner."""
     states = frame.states
     me = states[i]
     projections = None
@@ -161,16 +160,16 @@ def _plan(memo, frame, bits, i, spec, path, steps):
     if path is not None and spec.kind in IDM_KINDS:
         on_path = memo["projections"].setdefault(path, {})
         projections = []
-        for state, key in zip(states, bits):
-            hit = on_path.get(key)
+        for state in states:
+            hit = on_path.get(state.key)
             if hit is None:
-                hit = on_path[key] = path.project(state.x, state.y)
+                hit = on_path[state.key] = path.project(state.x, state.y)
             projections.append(hit)
         ahead = b"".join(
             _NEIGHBOUR.pack(proj[0], speed, length)
             for proj, speed, length in neighbours_ahead(me, projections[i][0],
                                                         states, projections))
-    key = (me.track_id, me.agent_type, bits[i], spec, path, steps, ahead)
+    key = (me.key, spec, path, steps, ahead)
     plan = memo["plans"].get(key)
     if plan is None:
         plan = memo["plans"][key] = plan_path_follow(
@@ -188,13 +187,13 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
     seed's earlier frames are never read.
 
     `plan_memo` is a dict shared by the children of one batch; it holds
-    their "paths", "projections" and "plans" memos. A path follower's path
-    is resolved once per distinct own state, route selector and seed lane,
-    and its plan is made once per distinct planner input: its own state,
-    spec, path and steps and, for an IDM driver, the station, speed and
-    length of every vehicle ahead on its path, whatever the rest of the
-    frame holds. An `OffMapError` fails the child at its step and is never
-    stored.
+    their "paths", "projections" and "plans" memos, each keyed on a state's
+    exact content, its `ParticipantState.key`. A path follower's path is
+    resolved once per distinct own state, route selector and seed lane, and
+    its plan is made once per distinct planner input: its own state, spec,
+    path and steps and, for an IDM driver, the station, speed and length of
+    every vehicle ahead on its path, whatever the rest of the frame holds.
+    An `OffMapError` fails the child at its step and is never stored.
     """
     ids = seed.track_ids
     missing = [tid for tid in ids if tid not in assignment.mapping]
@@ -223,7 +222,6 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
 
     for step in range(cfg.horizon_steps):
         if step % cfg.replan_interval == 0:
-            bits = None
             # frames hold one state per track, in `ids` order
             for i, tid in enumerate(ids):
                 spec = resolved[tid]
@@ -236,12 +234,8 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
                         if step == 0:
                             seed_lanes[tid] = match_seed_lane(
                                 graph, me, spec.route_selector)
-                        if bits is None:
-                            bits = [state_bits(s) for s in frame.states]
-                        path = _path(plan_memo, graph, me, bits[i], spec,
-                                     seed_lanes[tid], cfg)
-                        plan = _plan(plan_memo, frame, bits, i, spec, path,
-                                     cfg.replan_interval)
+                        path = _path(plan_memo, graph, me, spec, seed_lanes[tid], cfg)
+                        plan = _plan(plan_memo, frame, i, spec, path, cfg.replan_interval)
                 except Exception as exc:
                     raise ChildRunError(tid, step, spec.kind, str(exc)) from exc
                 plans[tid] = plan
@@ -278,10 +272,6 @@ class ChildResult:
 @dataclass(frozen=True)
 class BatchResult:
     children: tuple
-
-    @property
-    def logs(self):
-        return [c.log for c in self.children if c.log is not None]
 
     @property
     def failures(self):

@@ -622,6 +622,25 @@ def test_recorded_future_that_skips_a_frame_rejected(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "enumerate"])
+@pytest.mark.parametrize("column, value", [("length", "nan"), ("width", "inf")])
+def test_non_finite_vehicle_size_rejected(tmp_path, capsys, command, column, value):
+    # a nan length failed most children and wrote nan into metrics.csv, and
+    # an inf width scored every WTTC 0.0, each with exit 0
+    cfg, scene, out = tracks_config(tmp_path)
+    tracks = scene / "tracks.csv"
+    lines = tracks.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[TRACK_COLUMNS.index(column)] = value
+    lines[2] = ",".join(fields)
+    tracks.write_text("\n".join(lines) + "\n")
+    assert main([command, "--config", str(cfg), "--jobs", "1"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert "tracks.csv:3: track 2: length and width must be finite and positive" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "enumerate"])
 def test_frame_of_pedestrians_alone_replayed_across(tmp_path, capsys, command):
     # frame 15 (1500 ms) holds one pedestrian row; were it dropped, the
     # recorded future would skip from 1400 to 1600 ms

@@ -16,8 +16,6 @@ from scenex.metrics import (
     MetricStats,
     PairContext,
     effective_radius,
-    metric_distance,
-    metric_gap_time,
     metric_inverse_ttc,
     metric_pttc,
     metric_wttc,
@@ -29,7 +27,6 @@ from scenex.scene_io import (
     SceneFrame,
     ScenarioLog,
     SeedScene,
-    states_key,
     synth_scene,
     write_log,
 )
@@ -40,6 +37,19 @@ from tests.oracles import bits
 
 def state(tid, x, y=0.0, yaw=0.0, vx=0.0, vy=0.0, length=4.5, width=1.8):
     return ParticipantState(tid, "car", x, y, yaw, vx, vy, length, width)
+
+
+def pair_value(metric, ctx):
+    """One metric of an ordered pair, from `MetricEngine.pair_values`."""
+    return MetricEngine(None).pair_values(ctx)[metric]
+
+
+def distance(a, b):
+    return pair_value("distance", PairContext(a, b))
+
+
+def gap_time(ctx):
+    return pair_value("gap_time", ctx)
 
 
 def following_ctx(s_net, delta_v, v_leader, v_follower=None, **dims):
@@ -60,7 +70,7 @@ def pttc_gap(ctx, b_p, t):
 
 
 def wttc_gap(ctx, a_w, t):
-    d = metric_distance(ctx.a, ctx.b)
+    d = math.hypot(ctx.a.x - ctx.b.x, ctx.a.y - ctx.b.y)
     r = effective_radius(ctx.a) + effective_radius(ctx.b)
     return d - r - (ctx.a.speed + ctx.b.speed) * t - a_w * t * t
 
@@ -80,19 +90,19 @@ def bisect_root(f, lo, hi, tol=1e-12):
 
 class TestDistance:
     def test_identical_centers(self):
-        assert metric_distance(state(1, 0.0), state(2, 0.0)) == 0.0
+        assert distance(state(1, 0.0), state(2, 0.0)) == 0.0
 
     def test_three_four_five(self):
-        assert metric_distance(state(1, 0.0), state(2, 3.0, 4.0)) == 5.0
+        assert distance(state(1, 0.0), state(2, 3.0, 4.0)) == 5.0
 
     def test_symmetric_and_linear(self):
         rng = random.Random(0)
         for _ in range(50):
             a = state(1, rng.uniform(-50, 50), rng.uniform(-50, 50))
             b = state(2, rng.uniform(-50, 50), rng.uniform(-50, 50))
-            d = metric_distance(a, b)
-            assert d == metric_distance(b, a)
-            scaled = metric_distance(
+            d = distance(a, b)
+            assert d == distance(b, a)
+            scaled = distance(
                 state(1, 2 * a.x, 2 * a.y), state(2, 2 * b.x, 2 * b.y))
             assert scaled == pytest.approx(2 * d)
 
@@ -181,27 +191,27 @@ class TestGapTime:
     def test_hand_arithmetic(self):
         ctx = PairContext(state(1, 0.0, vx=10.0), state(2, 50.0, vx=10.0),
                           d_self=20.0, d_other=30.0)
-        assert metric_gap_time(ctx) == pytest.approx(1.0)
+        assert gap_time(ctx) == pytest.approx(1.0)
 
     def test_equal_arrival_zero(self):
         ctx = PairContext(state(1, 0.0, vx=10.0), state(2, 50.0, vx=15.0),
                           d_self=20.0, d_other=30.0)
-        assert metric_gap_time(ctx) == pytest.approx(0.0)
+        assert gap_time(ctx) == pytest.approx(0.0)
 
     def test_no_conflict_undefined(self):
-        assert metric_gap_time(following_ctx(20.0, 0.0, 10.0)) is None
+        assert gap_time(following_ctx(20.0, 0.0, 10.0)) is None
 
     def test_slow_participant_undefined(self):
         ctx = PairContext(state(1, 0.0, vx=0.05), state(2, 50.0, vx=10.0),
                           d_self=20.0, d_other=30.0)
-        assert metric_gap_time(ctx) is None
+        assert gap_time(ctx) is None
 
     def test_scale_invariant(self):
         base = PairContext(state(1, 0.0, vx=8.0), state(2, 50.0, vx=5.0),
                            d_self=24.0, d_other=35.0)
         doubled = PairContext(state(1, 0.0, vx=16.0), state(2, 100.0, vx=10.0),
                               d_self=48.0, d_other=70.0)
-        assert metric_gap_time(base) == pytest.approx(metric_gap_time(doubled))
+        assert gap_time(base) == pytest.approx(gap_time(doubled))
 
 
 class TestOrdering:
@@ -412,7 +422,7 @@ class TestFingerprintMemo:
 
         plus, minus = log_with(0.0), log_with(-0.0)
         assert plus.frames == minus.frames  # equal as numbers only
-        assert states_key(plus.frames[0]) != states_key(minus.frames[0])
+        assert plus.frames[0].states[1].key != minus.frames[0].states[1].key
         assert plus.digest != minus.digest
         write_log(plus, tmp_path / "plus.csv")
         write_log(minus, tmp_path / "minus.csv")

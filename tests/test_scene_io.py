@@ -1,5 +1,8 @@
 import csv
+import math
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -96,6 +99,19 @@ class TestLoadTracks:
         fields[TRACK_COLUMNS.index(column)] = value
         p.write_text(",".join(TRACK_COLUMNS) + "\n" + ",".join(fields) + "\n")
         with pytest.raises(SchemaError, match=r"tracks\.csv:2: .*non-finite"):
+            load_tracks(p)
+
+    @pytest.mark.parametrize("column,value", [
+        ("length", "nan"), ("length", "inf"), ("width", "inf"), ("width", "-inf"),
+        ("length", "0.0"), ("width", "-1.8"),
+    ])
+    def test_vehicle_size_must_be_finite_and_positive(self, tmp_path, column, value):
+        p = tmp_path / "tracks.csv"
+        fields = "1,1,1,100,car,0.0,0.0,1.0,0.0,0.0,4.5,1.8".split(",")
+        fields[TRACK_COLUMNS.index(column)] = value
+        p.write_text(",".join(TRACK_COLUMNS) + "\n" + ",".join(fields) + "\n")
+        with pytest.raises(SchemaError, match=r"tracks\.csv:2: track 1: length and "
+                           "width must be finite and positive"):
             load_tracks(p)
 
     @pytest.mark.parametrize("rows", [
@@ -378,3 +394,68 @@ def test_seed_scene_rejects_varying_participants():
     s2 = (ParticipantState(2, "car", 5.0, 0.0, 0.0, 1.0, 0.0),)
     with pytest.raises(ValueError, match="constant"):
         SeedScene(None, (SceneFrame(100, s1), SceneFrame(200, s2)))
+
+
+# a state whose floats are all non-zero, and the names of its float fields
+KEY_STATE = ParticipantState(7, "car", 12.5, -3.0, 0.25, 8.0, 0.5, 4.5, 1.8)
+FLOAT_FIELDS = ("x", "y", "yaw", "vx", "vy", "length", "width")
+
+
+class TestStateKey:
+    """`ParticipantState.key` is a state's exact content, packed once per
+    state object."""
+
+    def test_equal_content_equal_keys(self):
+        again = ParticipantState(7, "car", 12.5, -3.0, 0.25, 8.0, 0.5, 4.5, 1.8)
+        assert again is not KEY_STATE and again.key == KEY_STATE.key
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS[:5])
+    def test_signed_zero_gives_another_key(self, name):
+        plus = replace(KEY_STATE, **{name: 0.0})
+        minus = replace(KEY_STATE, **{name: -0.0})
+        assert plus == minus  # equal as numbers only
+        assert plus.key != minus.key
+
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_next_float_gives_another_key(self, name):
+        value = getattr(KEY_STATE, name)
+        other = replace(KEY_STATE, **{name: math.nextafter(value, math.inf)})
+        assert other.key != KEY_STATE.key
+
+    @pytest.mark.parametrize("change", [{"track_id": 8}, {"track_id": 70},
+                                        {"agent_type": "truck"}, {"agent_type": "other"}])
+    def test_track_id_and_agent_type_give_another_key(self, change):
+        assert replace(KEY_STATE, **change).key != KEY_STATE.key
+
+    def test_replaced_state_gets_a_fresh_key(self):
+        # replay's held state is the last recorded one with its speed zeroed
+        base = ParticipantState(3, "car", 1.0, 2.0, 0.0, 8.0, -0.0)
+        base_key = base.key
+        held = replace(base, vx=0.0, vy=0.0)
+        assert "key" not in vars(held)
+        assert held.key == ParticipantState(3, "car", 1.0, 2.0, 0.0, 0.0, 0.0).key
+        assert held.key != base_key and base.key is base_key
+
+    @pytest.mark.parametrize("packed_before", [False, True])
+    def test_pickle_round_trip_keeps_the_key(self, packed_before):
+        state = ParticipantState(4, "truck", -0.0, 1e-300, -math.pi, 0.0, -0.0, 12.0, 2.5)
+        expected = ParticipantState(4, "truck", -0.0, 1e-300, -math.pi, 0.0, -0.0,
+                                    12.0, 2.5).key
+        if packed_before:
+            assert state.key == expected
+        assert pickle.loads(pickle.dumps(state)).key == expected
+
+    def test_digest_follows_the_keys(self):
+        seed = SeedScene(None, make_case(n_frames=2).frames)
+        frames = make_case(n_frames=5).frames[2:]
+        log = ScenarioLog(seed, frames)
+        again = ScenarioLog(seed, tuple(
+            SceneFrame(f.timestamp_ms, tuple(replace(s) for s in f.states))
+            for f in frames))
+        assert again.digest == log.digest
+        minus = ScenarioLog(seed, frames[:2] + (SceneFrame(frames[2].timestamp_ms, (
+            frames[2].states[0], replace(frames[2].states[1], vy=-0.0))),))
+        assert minus.frames == frames and minus.digest != log.digest
+        relabelled = ScenarioLog(seed, tuple(SceneFrame(f.timestamp_ms, tuple(
+            replace(s, track_id=s.track_id + 10) for s in f.states)) for f in frames))
+        assert relabelled.digest != log.digest

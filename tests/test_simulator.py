@@ -1,6 +1,7 @@
 import math
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
+from functools import cached_property
 
 import pytest
 
@@ -15,7 +16,6 @@ from scenex.scene_io import (
     SceneFrame,
     SeedScene,
     extract_seed,
-    state_bits,
     synth_scene,
     write_log,
 )
@@ -381,7 +381,7 @@ class TestPlanMemo:
                 seed_lane = match_seed_lane(t_junction_map, seed.current.get(tid),
                                             spec.route_selector)
                 for step in range(0, cfg.horizon_steps, cfg.replan_interval):
-                    inputs.add((state_bits(frames[step].get(tid)), spec.route_selector,
+                    inputs.add((frames[step].get(tid).key, spec.route_selector,
                                 seed_lane))
         assert len(path_calls) == len(inputs) > 0
         assert len(planner_calls) > 0
@@ -574,7 +574,7 @@ class TestPlanKey:
                 continue
             frames = (seed.current,) + child.log.frames
             for step in range(0, cfg.horizon_steps, cfg.replan_interval):
-                inputs.add((spec, state_bits(frames[step].get(lead))))
+                inputs.add((spec, frames[step].get(lead).key))
         # nothing is ahead of the lead, so each of its four models plans one
         # trajectory, whatever the 25 assignments of its followers; a stopped
         # emergency braker's last two replans start from one state
@@ -639,6 +639,30 @@ class TestDistinctAssignments:
         batch = run_enumerated(seed, roster6[:5], jobs=2)
         assert len(batch.children) == 625 and batch.n_failed == 0
         assert all(child.log.seed is seed for child in batch.children)
+
+
+def test_batch_packs_each_state_object_once(monkeypatch, roster6):
+    # the plan, path and projection memos and the metric engine all key on
+    # `ParticipantState.key`; a state is packed once, whoever asks first
+    packed = []
+    original = ParticipantState.__dict__["key"].func
+
+    def counting(state):
+        packed.append(state)
+        return original(state)
+
+    key = cached_property(counting)
+    key.__set_name__(ParticipantState, "key")
+    monkeypatch.setattr(ParticipantState, "key", key)
+    graph, seed = synth_scene("car_following", {"n_vehicles": 3})
+    batch = run_enumerated(seed, roster6)
+    engine = MetricEngine(graph)
+    for child in batch.children:
+        engine.aggregate(child.log, child.assignment)
+    held = {id(s) for child in batch.children
+            for frame in (seed.current,) + child.log.frames for s in frame.states}
+    assert len({id(s) for s in packed}) == len(packed) > 0
+    assert {id(s) for s in packed} <= held
 
 
 class TestCurrentFrameOnly:
