@@ -18,8 +18,6 @@ from __future__ import annotations
 import hashlib
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 
 from .behavior import (
@@ -352,7 +350,10 @@ def available_cpus() -> int:
 def _run_pool(seed, cfg, distinct, workers, finish):
     """The results of `distinct` tasks run in a pool, in task order. A chunk
     whose worker died fails each of its children with `BrokenProcessPool`;
-    the chunks received before are kept."""
+    the chunks received before are kept. The pool's module, and with it
+    `multiprocessing`, is imported here, so a serial run never loads it."""
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
     chunks = [distinct[i:i + CHUNK_SIZE] for i in range(0, len(distinct), CHUNK_SIZE)]
     results = []
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,

@@ -547,6 +547,20 @@ class TestValidation:
         assert "lane 'main'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("document", ["map", "roster", "run config"])
+    def test_document_that_is_not_utf8_named_at_load(self, tmp_path, capsys, document):
+        # a Latin-1 comment: the text-mode read raised UnicodeDecodeError, and
+        # the message named neither the file nor YAML
+        cfg, scene, out = tracks_config(tmp_path)
+        path = {"map": scene / "map.yaml", "roster": tmp_path / "roster.yaml",
+                "run config": cfg}[document]
+        path.write_bytes("# café\n".encode("latin-1") + path.read_bytes())
+        rc = main(["simulate", "--config", str(cfg), "--jobs", "1"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert f"{path}: not valid YAML: " in err and "Traceback" not in err
+        assert not out.exists()
+
     # each of these loaded as if the key were absent or well-typed, until every
     # document went through the one field checker
     @pytest.mark.parametrize("roster_tail, key", [
@@ -1054,16 +1068,30 @@ class TestFuzz:
         assert rc in EXIT_CODES and "Traceback" not in err
 
 
-def test_simulation_commands_do_not_load_numpy(tmp_path):
+def modules_after_serial_enumerate(tmp_path, *names):
+    """Whether each module of `names` is loaded in a new interpreter after
+    `scenex enumerate --jobs 1` on a synth scene."""
     cfg, out = write_config(tmp_path, roster=TWO_MODEL_ROSTER)
     code = ("import sys\n"
             "from scenex import cli\n"
             "rc = cli.main(['enumerate', '--config', sys.argv[1], '--jobs', '1'])\n"
-            "print(rc, 'numpy' in sys.modules)\n")
+            "print(rc, *(name in sys.modules for name in sys.argv[2:]))\n")
     src = os.path.dirname(os.path.dirname(scenex.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code, str(cfg)], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, str(cfg), *names], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["0", "False"]
+    rc, *loaded = proc.stdout.split()
+    assert rc == "0"
     assert len(os.listdir(out / "logs")) == 4
+    return loaded
+
+
+def test_simulation_commands_do_not_load_numpy(tmp_path):
+    assert modules_after_serial_enumerate(tmp_path, "numpy") == ["False"]
+
+
+def test_serial_commands_do_not_load_the_process_pool(tmp_path):
+    # the pool's module pulls in multiprocessing; only a pool needs it
+    assert modules_after_serial_enumerate(
+        tmp_path, "multiprocessing", "concurrent.futures.process") == ["False", "False"]

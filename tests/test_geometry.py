@@ -4,8 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from scenex import geometry
 from scenex.errors import GeometryError
-from scenex.geometry import Polyline, segment_intersection, wrap_angle
+from scenex.geometry import RUN_SEGMENTS, Polyline, segment_intersection, wrap_angle
 from tests import oracles
 from tests.oracles import bits
 
@@ -101,7 +102,8 @@ def polylines(coord):
         except GeometryError:
             return None
 
-    return (st.lists(st.tuples(coord, coord), min_size=2, max_size=8)
+    # up to 33 runs of segments, so that a drawn polyline often has several
+    return (st.lists(st.tuples(coord, coord), min_size=2, max_size=200)
             .map(build).filter(lambda pl: pl is not None))
 
 
@@ -160,3 +162,138 @@ def test_project_of_a_nan_point_matches_oracle():
     pl = Polyline([(0.0, 0.0), (5.0, 0.0), (5.0, -10.0)])
     assert pl.project(math.nan, 1.0) == (0.0, 0.0, math.inf)
     same_projection(pl, math.nan, 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polylines(centimetres))
+def test_run_box_holds_every_computed_closest_point(pl):
+    """A computed closest point lies between a segment's start and its
+    computed end ax + 1.0 * dx, so the run's box must hold both."""
+    assert [row for run in pl._runs for row in run[4]] == list(pl._segments)
+    for x0, y0, x1, y1, rows in pl._runs:
+        for ax, ay, dx, dy, *_ in rows:
+            for t in (0.0, 1.0):
+                assert x0 <= ax + t * dx <= x1 and y0 <= ay + t * dy <= y1
+
+
+@settings(max_examples=200, deadline=None)
+@given(polylines(centimetres), st.data())
+def test_run_box_distance_never_exceeds_a_segment_distance(pl, data):
+    """`project` skips a run only on this bound: the squared distance to the
+    box of a run is at most the computed squared distance of each segment."""
+    i = data.draw(st.integers(0, len(pl.xs) - 1))
+    x = pl.xs[i] + data.draw(st.sampled_from([0.0, 1e-9, -1e-7, 0.5, -3.0, 40.0]))
+    y = pl.ys[i] + data.draw(st.sampled_from([0.0, -1e-9, 1e-7, -0.5, 3.0, -40.0]))
+    for x0, y0, x1, y1, rows in pl._runs:
+        gx = x0 - x if x < x0 else x - x1 if x > x1 else 0.0
+        gy = y0 - y if y < y0 else y - y1 if y > y1 else 0.0
+        for row in rows:
+            assert gx * gx + gy * gy <= geometry._closest([row], x, y)[0]
+
+
+# -- fixed shapes where several runs of segments are (nearly) equally near --
+
+R = RUN_SEGMENTS
+
+
+def hooked_corner():
+    """A run of R segments east along y = 0, then a run that turns south at
+    (R, 0) and hooks back north: the second run's box holds the points just
+    north-east of the shared vertex, where both runs' segments are nearest
+    at that vertex."""
+    return ([(float(i), 0.0) for i in range(R + 1)]
+            + [(R, -3.0), (R + 6.0, -3.0), (R + 6.0, 3.0)])
+
+
+def circle(n, radius):
+    return [(radius * math.cos(2 * math.pi * i / n), radius * math.sin(2 * math.pi * i / n))
+            for i in range(n + 1)]
+
+
+def star(n, step=0.0):
+    """A zig-zag between radius 1 and 2 about the origin. Every segment is
+    nearest the origin at its inner vertex; the inner vertex k lies at
+    squared radius 1 + (n - 1 - k) * step, so each segment is at most `step`
+    nearer than the one before it."""
+    points = []
+    for k in range(n):
+        a = 2 * math.pi * k / n
+        r = math.sqrt(1.0 + (n - 1 - k) * step)
+        points += [(r * math.cos(a), r * math.sin(a)),
+                   (2.0 * math.cos(a + math.pi / n), 2.0 * math.sin(a + math.pi / n))]
+    return points
+
+
+def polar(radius, degrees):
+    return radius * math.cos(math.radians(degrees)), radius * math.sin(math.radians(degrees))
+
+
+def staircase_after_a_run():
+    """Three runs: the first nearest the origin at (r, 0), r * r = 1 + 2.7e-12,
+    in its segments and in its box; the second far from it; the third a
+    zig-zag whose inner vertices lie at squared radii 1 + 1.8e-12, 1 + 0.9e-12
+    and 1, in that order. The whole scan takes (r, 0), then the vertex at
+    1 + 0.9e-12, which is 1.8e-12 nearer; a scan without the first run would
+    end on the vertex at 1."""
+    first = [(3.0, 1.0), (math.sqrt(1.0 + 2.7e-12), 0.0)] + [
+        (3.0, -1.0 - k) for k in range(R - 1)]
+    (ax, ay), (bx, by) = (-10.0, -2.0), polar(2.0, 220.0)
+    second = [(3.0, -R - 5.0), (-10.0, -R - 5.0)] + [
+        (ax + (bx - ax) * k / (R - 3), ay + (by - ay) * k / (R - 3)) for k in range(R - 2)]
+    zig = [polar(math.sqrt(1.0 + 1.8e-12), 200.0), polar(2.0, 190.0),
+           polar(math.sqrt(1.0 + 0.9e-12), 180.0), polar(2.0, 170.0), polar(1.0, 160.0)]
+    return first + second + zig
+
+
+def shifted(points, d):
+    return [(x + d, y + d) for x, y in points]
+
+
+SHAPES = {
+    "hooked-corner": (hooked_corner(), [(R, 0.0), (R + 0.5, 0.5), (R + 1e-9, 1e-9),
+                                        (R + 2.0, 1.0), (R - 0.5, 0.5)]),
+    "circle-600": (circle(600, 10.0), [(0.0, 0.0), (1e-9, -1e-9), (3.0, 4.0)]),
+    "circle-600-wide": (circle(600, 1000.0), [(0.0, 0.0), (1e-6, 0.0)]),
+    "staircase-after-a-run": (staircase_after_a_run(), [(0.0, 0.0)]),
+    "zig-zag": (star(40), [(0.0, 0.0), (1e-13, 0.0), (0.0, -2e-13)]),
+    # steps of 0.9e-12: a chain of near-ties that climbs 35e-12 above the least
+    "zig-zag-staircase": (star(40, 0.9e-12), [(0.0, 0.0), (1e-13, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e6], ids=["at-origin", "offset-1e6"])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_project_matches_oracle_where_runs_tie(shape, offset):
+    points, queries = SHAPES[shape]
+    pl = Polyline(shifted(points, offset))
+    assert len(pl._runs) > 1
+    for x, y in queries:
+        same_projection(pl, x + offset, y + offset)
+
+
+def test_tie_at_a_shared_vertex_takes_the_earlier_run():
+    # (R + 0.5, 0.5) is in the second run's box, and as near to the last
+    # segment of the first run as to the first of the second: the first wins
+    pl = Polyline(hooked_corner())
+    assert pl.project(R + 0.5, 0.5) == (float(R), 0.5, math.sqrt(0.5))
+
+
+def test_staircase_of_near_ties_is_won_short_of_the_least():
+    # each inner vertex is 0.9e-12 nearer in squared distance than the one
+    # before: a segment wins on every second vertex, the last on vertex 38,
+    # which its first segment (F37 to N38, index 75) reaches at its end
+    pl = Polyline(star(40, 0.9e-12))
+    station, _, dist = pl.project(0.0, 0.0)
+    assert station == pl.cum[76]
+    assert dist > 1.0 + 4e-13  # not vertex 39, at squared radius 1
+
+
+@pytest.mark.parametrize("x, y", [
+    (math.nan, 0.0), (0.0, math.nan), (math.nan, math.nan), (math.inf, 0.0),
+    (0.0, -math.inf), (math.inf, math.inf), (1e308, -1e308)])
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_project_at_no_finite_distance_matches_oracle(shape, x, y):
+    # a NaN or infinite point, or one whose squared distance overflows
+    pl = Polyline(SHAPES[shape][0])
+    assert pl.project(x, y) == (0.0, 0.0, math.inf)
+    same_projection(pl, x, y)

@@ -1,5 +1,5 @@
 import math
-from concurrent.futures import Future
+from concurrent.futures import Future, process
 from concurrent.futures.process import BrokenProcessPool
 from functools import cached_property
 
@@ -698,8 +698,10 @@ class TestCurrentFrameOnly:
 
 
 class StubPool:
-    """Stands in for `ProcessPoolExecutor`: records `max_workers` and runs the
-    tasks in this process, one worker's state for all of them."""
+    """Stands in for `ProcessPoolExecutor`, which `simulator._run_pool` imports
+    from `concurrent.futures.process` when it starts a pool: records
+    `max_workers` and runs the tasks in this process, one worker's state for
+    all of them."""
 
     started = []
 
@@ -735,7 +737,7 @@ class DyingStubPool(StubPool):
 def test_dead_worker_fails_the_children_of_its_task(monkeypatch, roster6):
     # 216 children, 125 distinct: task 0 runs distinct children 0-63, task 1
     # the other 61, and the repeats of each take its outcome
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", DyingStubPool)
+    monkeypatch.setattr(process, "ProcessPoolExecutor", DyingStubPool)
     monkeypatch.setattr(simulator, "available_cpus", lambda: 2)
     _, seed = synth_scene("car_following", {"n_vehicles": 3})
     batch = run_enumerated(seed, roster6, jobs=2)
@@ -757,7 +759,7 @@ def test_dead_worker_fails_the_children_of_its_task(monkeypatch, roster6):
 class TestPoolBound:
     @pytest.fixture
     def started(self, monkeypatch):
-        monkeypatch.setattr(simulator, "ProcessPoolExecutor", StubPool)
+        monkeypatch.setattr(process, "ProcessPoolExecutor", StubPool)
         monkeypatch.setattr(StubPool, "started", [])
         return StubPool.started
 
