@@ -146,9 +146,9 @@ class _ScoreAndWrite:
         return replace(child, log=None, fingerprint=fingerprint)
 
 
-def _metric_rows(engine, batch):
-    """The `metrics.csv` rows of the completed children, in index order.
-    Each child was scored where it ran, so `engine` is not read here."""
+def _metric_rows(batch):
+    """The `metrics.csv` rows of the completed children, in index order,
+    each scored where it ran."""
     return [(child.index, child.assignment.run_seed, child.fingerprint)
             for child in batch.children if child.ok]
 
@@ -192,7 +192,7 @@ def _write_outputs(cfg, batch, engine, seed, mode):
                          model_kind=child.model_kind, error_class=child.error_class)
         children.append(entry)
     metrics.write_metric_table(os.path.join(out, "metrics.csv"),
-                               _metric_rows(engine, batch))
+                               _metric_rows(batch))
     gt_written = False
     if cfg.tracks is not None:
         try:

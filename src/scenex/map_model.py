@@ -312,6 +312,19 @@ def path_intersection(pa: Polyline, pb: Polyline):
     return None
 
 
+def project_state(memo, path, state):
+    """`path.project` of `state`'s position, once per `memo` and (path, exact
+    state): `memo` maps a path to {`ParticipantState.key`: projection}. The
+    planner keeps one memo per batch, the metric engine one per engine."""
+    on_path = memo.get(path)
+    if on_path is None:
+        on_path = memo[path] = {}
+    hit = on_path.get(state.key)
+    if hit is None:
+        hit = on_path[state.key] = path.project(state.x, state.y)
+    return hit
+
+
 def match_seed_lane(graph, state, selector):
     """Lane on which an integer route `selector` applies: the lane matched at
     the participant's seed-scene `state`. None for "straightest" or no map."""

@@ -18,6 +18,7 @@ from .map_model import (
     match_seed_lane,
     path_for_pose,
     path_intersection,
+    project_state,
 )
 
 DEFAULT_METRICS = ("distance", "gap_time", "inv_ttc", "pttc", "wttc")
@@ -167,7 +168,7 @@ class MetricEngine:
         self._isect_cache = {}  # (path, path) -> `path_intersection`
         self._fingerprints = {}
         self._states = {}       # (state key, route) -> `_Row`
-        self._projections = {}  # path -> {state key: Polyline.project}
+        self._projections = {}  # `project_state`'s memo
 
     def _routes(self, seed, assignment):
         """track id -> (route selector, seed lane) for non-default selectors."""
@@ -198,13 +199,6 @@ class MetricEngine:
             return sa - station_a, sb - station_b
         return None
 
-    def _project(self, path, state):
-        on_path = self._projections.setdefault(path, {})
-        hit = on_path.get(state.key)
-        if hit is None:
-            hit = on_path[state.key] = path.project(state.x, state.y)
-        return hit
-
     def _state_row(self, state, key):
         """The `_Row` of a state under its key, (state key, route)."""
         _, (selector, seed_lane) = key
@@ -213,7 +207,7 @@ class MetricEngine:
                                  selector, self.route_horizon, seed_lane)
         except OffMapError:
             path = None
-        station = None if path is None else self._project(path, state)[0]
+        station = None if path is None else project_state(self._projections, path, state)[0]
         return _Row(key, path, station, state.speed, effective_radius(state), {})
 
     def _frame(self, frame, routes):
@@ -231,20 +225,23 @@ class MetricEngine:
         return rows
 
     def _pair(self, a, row_a, b, row_b):
-        """(s_net, crossing) of the ordered pair (a, b) with their `_Row`s:
-        the net gap when b leads a on a's path (`leader_gap`), and a's and
-        b's distances to their paths' conflict point (`_crossing`); each
-        None when there is none."""
-        s_net = None
+        """(s_net, delta_v, crossing) of the ordered pair (a, b) with their
+        `_Row`s: the net gap and closing speed when b leads a on a's path
+        (`leader_gap`), and a's and b's distances to their paths' conflict
+        point (`_crossing`); each None when there is none."""
+        s_net = delta_v = None
         if row_a.path is not None:
-            proj = self._project(row_a.path, b)
+            proj = project_state(self._projections, row_a.path, b)
             s_net = leader_gap(row_a.station, a.length, proj, b.length)
-        return s_net, self._crossing(row_a.path, row_a.station, row_b.path, row_b.station)
+            if s_net is not None:
+                delta_v = row_a.speed - row_b.speed
+        return s_net, delta_v, self._crossing(row_a.path, row_a.station,
+                                              row_b.path, row_b.station)
 
     def _pair_values(self, a, row_a, b, row_b):
         """The ordered pair's values, in `DEFAULT_METRICS` order (None where
         undefined)."""
-        s_net, crossing = self._pair(a, row_a, b, row_b)
+        s_net, delta_v, crossing = self._pair(a, row_a, b, row_b)
         v_a, r_a = row_a.speed, row_a.radius
         v_b, r_b = row_b.speed, row_b.radius
         d = math.hypot(a.x - b.x, a.y - b.y)
@@ -252,7 +249,6 @@ class MetricEngine:
         if crossing is not None:
             gap_time = _gap_time(*crossing, v_a, v_b)
         if s_net is not None:
-            delta_v = v_a - v_b
             inv_ttc = _inverse_ttc(s_net, delta_v)
             pttc = _pttc(s_net, delta_v, v_a, v_b, self.pttc_decel)
         return d, gap_time, inv_ttc, pttc, _wttc(d, r_a, r_b, v_a, v_b, self.wttc_accel)
@@ -263,18 +259,10 @@ class MetricEngine:
         `routes` maps a track id to its (route selector, seed lane); any other
         participant is judged on its lane's straightest route.
         """
-        rows = self._frame(frame, routes or {})
-        states = frame.states
-        contexts = []
-        for a, row_a in zip(states, rows):
-            for b, row_b in zip(states, rows):
-                if a is b:
-                    continue
-                s_net, crossing = self._pair(a, row_a, b, row_b)
-                delta_v = None if s_net is None else row_a.speed - row_b.speed
-                contexts.append(PairContext(a, b, s_net, delta_v,
-                                            *(crossing or (None, None))))
-        return contexts
+        pairs = list(zip(frame.states, self._frame(frame, routes or {})))
+        return [PairContext(a, b, s_net, delta_v, *(crossing or (None, None)))
+                for a, row_a in pairs for b, row_b in pairs if a is not b
+                for s_net, delta_v, crossing in [self._pair(a, row_a, b, row_b)]]
 
     def pair_values(self, ctx: PairContext):
         """All metric values for one ordered pair (None where undefined).
@@ -377,7 +365,9 @@ def read_metric_table(path):
     """Read a metric table; returns (metric names, rows).
 
     Raises SchemaError, naming the line, for a row whose length differs from
-    the header's, a cell that does not parse, and a non-finite value.
+    the header's, a cell that does not parse, a non-finite value, and a
+    metric whose cells are not what `write_metric_table` writes: empty worst
+    and mean with 0 frames, or a worst and a mean with frames >= 1.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -406,9 +396,12 @@ def read_metric_table(path):
                 vector = {}
                 for k, m in enumerate(metrics):
                     worst, mean, frames = row[2 + 3 * k: 5 + 3 * k]
-                    if worst != "":
-                        vector[m] = MetricStats(_finite(worst), _finite(mean),
-                                                int(frames))
+                    if (worst, mean, frames) == ("", "", "0"):
+                        continue
+                    if "" in (worst, mean) or int(frames) < 1:
+                        raise ValueError(f"{m}: worst {worst!r}, mean {mean!r} and "
+                                         f"defined frames {frames!r} disagree")
+                    vector[m] = MetricStats(_finite(worst), _finite(mean), int(frames))
                 rows.append((int(row[0]), int(row[1]), vector))
             except ValueError as exc:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from None

@@ -217,7 +217,10 @@ def load_tracks(path) -> TrackDataset:
                 raise SchemaError(f"{path}:{lineno}: {exc}") from exc
             # a frame of dropped rows alone stays, with no states: replay
             # holds each vehicle's latest state across it
-            states = cases.setdefault(case_id, {}).setdefault(frame_id, (ts, []))[1]
+            first_ts, states = cases.setdefault(case_id, {}).setdefault(frame_id, (ts, []))
+            if ts != first_ts:
+                raise SchemaError(f"{path}:{lineno}: case {case_id} frame {frame_id}: "
+                                  f"timestamp_ms {ts}, but {first_ts} on an earlier row")
             raw_type = row[4]
             if raw_type.strip().lower() in _DROPPED_AGENT_TYPES:
                 dropped += 1

@@ -29,7 +29,7 @@ from .behavior import (
     resolve_spec,
 )
 from .errors import ChildRunError, EnumerationCapError, ScenexError
-from .map_model import DEFAULT_ROUTE_HORIZON, match_seed_lane, path_for_pose
+from .map_model import DEFAULT_ROUTE_HORIZON, match_seed_lane, path_for_pose, project_state
 from .scene_io import (
     FRAME_PERIOD_MS,
     MAX_STEPS,
@@ -150,19 +150,13 @@ def _plan(memo, frame, i, spec, path, steps):
     every neighbour ahead (`neighbours_ahead`) in the planner's order, which
     IDM drivers alone read. The planner reads nothing else, so an equal
     input plans the same states. Each exact state is projected onto a path
-    once per batch, for the key and the planner."""
+    once per batch (`project_state`), for the key and the planner."""
     states = frame.states
     me = states[i]
     projections = None
     ahead = b""
     if path is not None and spec.kind in IDM_KINDS:
-        on_path = memo["projections"].setdefault(path, {})
-        projections = []
-        for state in states:
-            hit = on_path.get(state.key)
-            if hit is None:
-                hit = on_path[state.key] = path.project(state.x, state.y)
-            projections.append(hit)
+        projections = [project_state(memo["projections"], path, s) for s in states]
         ahead = b"".join(
             _NEIGHBOUR.pack(proj[0], speed, length)
             for proj, speed, length in neighbours_ahead(me, projections[i][0],
@@ -299,15 +293,6 @@ def _init_worker(seed, cfg, finish):
     _WORKER_CTX["plan_memo"] = {}
 
 
-def _run_one(seed, assignment, cfg, index, plan_memo) -> ChildResult:
-    try:
-        log = run_child(seed, assignment, cfg, plan_memo=plan_memo)
-        return ChildResult(index, assignment, log)
-    except Exception as exc:  # a failing child never ends the batch
-        cause = (exc.__cause__ if isinstance(exc, ChildRunError) else None) or exc
-        return _failed(index, assignment, exc, cause)
-
-
 def _failed(index, assignment, exc, cause) -> ChildResult:
     return ChildResult(
         index, assignment, None, error=str(exc),
@@ -319,12 +304,16 @@ def _failed(index, assignment, exc, cause) -> ChildResult:
 
 def _run_task(seed, cfg, plan_memo, finish, task) -> ChildResult:
     """Simulate a task's child, then hand a completed one to `finish` with
-    the indices of every task of its specs. `finish` runs outside
-    `_run_one`'s `except`: its own errors, such as an `OSError` from a log
-    write, end the batch instead of failing the child."""
+    the indices of every task of its specs. `finish` runs outside the
+    `except`: its own errors, such as an `OSError` from a log write, end the
+    batch instead of failing the child."""
     index, assignment, indices = task
-    child = _run_one(seed, assignment, cfg, index, plan_memo)
-    return finish(child, indices) if child.ok else child
+    try:
+        log = run_child(seed, assignment, cfg, plan_memo=plan_memo)
+    except Exception as exc:  # a failing child never ends the batch
+        cause = (exc.__cause__ if isinstance(exc, ChildRunError) else None) or exc
+        return _failed(index, assignment, exc, cause)
+    return finish(ChildResult(index, assignment, log), indices)
 
 
 def _worker(chunk):

@@ -800,8 +800,10 @@ class TestAnalyze:
         (0, 1, [""], "invalid literal"),
         (3, None, [], "got 3"),
         (99, 99, ["7"], "fields, got"),
+        (2, 3, [""], "disagree"),
+        (4, 5, ["0"], "disagree"),
     ], ids=["nan", "-inf", "overflow", "text", "float-count", "empty-index",
-            "short", "long"])
+            "short", "long", "empty-worst", "no-frames"])
     def test_bad_table_cell_rejected(self, tmp_path, capsys, metrics_table, start,
                                      stop, new, message):
         lines = metrics_table.read_text().splitlines()

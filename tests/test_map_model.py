@@ -17,10 +17,12 @@ from scenex.map_model import (
     match_to_lane,
     path_for_pose,
     path_intersection,
+    project_state,
     route_centerline,
     save_map,
     select_route,
 )
+from scenex.scene_io import ParticipantState
 from tests import oracles
 from tests.oracles import bits
 
@@ -273,6 +275,32 @@ def test_project_onto_path_endpoints(straight_map):
     assert (station, lateral) == pytest.approx((50.0, -3.0))
     station, _ = path.project(150.0, 0.0)[:2]
     assert station == pytest.approx(100.0)
+
+
+def test_project_state_projects_each_path_and_exact_state_once(monkeypatch):
+    calls = []
+    project = Polyline.project
+    monkeypatch.setattr(Polyline, "project",
+                        lambda self, x, y: calls.append((self, x, y)) or project(self, x, y))
+    path = Polyline([(0.0, 0.0), (10.0, 0.0)])
+    other = Polyline([(0.0, 0.0), (0.0, 10.0)])
+    state = ParticipantState(1, "car", 3.0, 0.0, 0.0, 1.0, 0.0)
+    memo = {}
+    first = project_state(memo, path, state)
+    assert first == project(path, 3.0, 0.0)
+    # an equal state, another object: the stored result, no new projection
+    twin = ParticipantState(1, "car", 3.0, 0.0, 0.0, 1.0, 0.0)
+    assert project_state(memo, path, twin) is first
+    assert len(calls) == 1
+    # -0.0 is another exact state than 0.0, and another path another entry
+    signed = ParticipantState(1, "car", 3.0, -0.0, 0.0, 1.0, 0.0)
+    project_state(memo, path, signed)
+    project_state(memo, other, state)
+    assert [(p, x, bits(y)) for p, x, y in calls] == [
+        (path, 3.0, bits(0.0)), (path, 3.0, bits(-0.0)), (other, 3.0, bits(0.0))]
+    assert set(memo[path]) == {state.key, signed.key}
+    assert project_state(memo, path, signed) is memo[path][signed.key]
+    assert len(calls) == 3
 
 
 def test_path_vertices_have_zero_lateral(t_junction_map):

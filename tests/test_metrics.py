@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenex.behavior import ModelSpec
-from scenex.errors import OffMapError, RouteSelectionError
+from scenex.errors import OffMapError, RouteSelectionError, SchemaError
 from scenex.geometry import Polyline
 from scenex.map_model import MapGraph, match_seed_lane, path_for_pose, path_intersection
 from scenex.metrics import (
@@ -789,6 +789,21 @@ class TestMetricTable:
         assert back[0][2]["distance"] == MetricStats(4.25, 6.125, 30)
         assert "pttc" not in back[0][2]
         assert back[1][2] == {"distance": MetricStats(9.0, 9.5, 30)}
+
+    # only ("", "", "0") and a worst and mean over >= 1 frames are written
+    @pytest.mark.parametrize("cells", [
+        ("", "3.5", "30"), ("2.5", "", "30"), ("", "", "30"), ("2.5", "3.5", "0"),
+        ("2.5", "3.5", "-1"), ("", "", "-1"), ("", "", ""),
+    ])
+    def test_disagreeing_cells_rejected(self, tmp_path, cells):
+        p = tmp_path / "metrics.csv"
+        p.write_text("run_index,run_seed,distance_worst,distance_mean,"
+                     "distance_defined_frames\n0,0,1.5,2.5,4\n1,1," + ",".join(cells) + "\n")
+        with pytest.raises(SchemaError) as err:
+            read_metric_table(p)
+        worst, mean, frames = cells
+        assert str(err.value) == (f"{p}:3: distance: worst {worst!r}, mean {mean!r} "
+                                  f"and defined frames {frames!r} disagree")
 
     def test_floats_lossless(self, tmp_path):
         p = tmp_path / "metrics.csv"

@@ -90,6 +90,21 @@ class TestLoadTracks:
         with pytest.raises(SchemaError, match="monotonic"):
             load_tracks(p)
 
+    # a later row of a frame, a vehicle's or a dropped pedestrian's, that
+    # gives the frame another timestamp
+    @pytest.mark.parametrize("agent_type", ["car", "pedestrian"])
+    def test_frame_with_two_timestamps_rejected(self, tmp_path, agent_type):
+        p = tmp_path / "tracks.csv"
+        rows = [
+            "1,1,1,100,car,0.0,0.0,1.0,0.0,0.0,4.5,1.8",
+            f"1,2,1,900,{agent_type},10.0,0.0,1.0,0.0,0.0,4.5,1.8",
+        ]
+        p.write_text(",".join(TRACK_COLUMNS) + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(SchemaError) as err:
+            load_tracks(p)
+        assert str(err.value) == (f"{p}:3: case 1 frame 1: timestamp_ms 900, "
+                                  "but 100 on an earlier row")
+
     @pytest.mark.parametrize("column,value", [
         ("x", "nan"), ("y", "inf"), ("psi_rad", "nan"), ("vx", "-inf"),
     ])
