@@ -119,14 +119,19 @@ def resolve_spec(spec: ModelSpec, initial_speed) -> ModelSpec:
 def leader_gap(own_station, own_length, projection, other_length):
     """The leader rule: the net gap along a path from a participant at
     `own_station` to another whose `Polyline.project` result on that path is
-    `projection`, or None when the other does not lead, being more than
-    LEADER_CLEARANCE off the path or not ahead.
+    `projection`, or None when the other does not lead, being not ahead or
+    more than LEADER_CLEARANCE off the path. Off the path means either
+    offset: the lateral one to the closest segment's line, or the distance
+    to the closest point, which is the larger one past the path's end or
+    beyond an outer corner. The distance test allows 1e-9 of rounding, so
+    at an interior point, where the two agree, an exact tie still leads.
 
     The net gap subtracts the mean of both vehicle lengths and is clamped to
     stay positive.
     """
     station = projection[0]
-    if station <= own_station or abs(projection[1]) > LEADER_CLEARANCE:
+    if (station <= own_station or abs(projection[1]) > LEADER_CLEARANCE
+            or projection[2] > LEADER_CLEARANCE + 1e-9):
         return None
     return max(station - own_station - 0.5 * (own_length + other_length), MIN_NET_GAP)
 

@@ -46,6 +46,17 @@ _KNOWN_VEHICLE_TYPES = {"car", "truck"}
 _STATE_FLOATS = struct.Struct("<7d")
 
 
+class _Echo:
+    """A file whose `write` returns its text, so a `csv.writer` on it returns
+    each row's CSV text from `writerow`."""
+
+    def write(self, text):
+        return text
+
+
+_csv_text = csv.writer(_Echo()).writerow
+
+
 @dataclass(frozen=True)
 class ParticipantState:
     track_id: int
@@ -79,6 +90,15 @@ class ParticipantState:
         Every memo of a state's work keys on it."""
         return b"%a %a" % (self.track_id, self.agent_type) + _STATE_FLOATS.pack(
             self.x, self.y, self.yaw, self.vx, self.vy, self.length, self.width)
+
+    @cached_property
+    def csv_cells(self) -> str:
+        """The state's track CSV cells from agent_type to width and the line
+        terminator, as `csv.writer` writes them, rendered once per state
+        object: a log row is its integer cells and this text."""
+        return _csv_text((self.agent_type, repr(self.x), repr(self.y), repr(self.vx),
+                          repr(self.vy), repr(self.yaw), repr(self.length),
+                          repr(self.width)))
 
 
 @dataclass(frozen=True)
@@ -262,18 +282,16 @@ def load_tracks(path) -> TrackDataset:
 
 
 def write_case(case_id, frames, path) -> None:
-    """Write frames as track CSV rows ordered by (frame, track)."""
+    """Write frames as track CSV rows ordered by (frame, track), in one write.
+    A row is its integer cells, case to timestamp, as `csv.writer` writes
+    them, and its state's `csv_cells`."""
+    rows = [_csv_text(TRACK_COLUMNS)]
+    for fr in frames:
+        ts = fr.timestamp_ms
+        frame_id = ts // FRAME_PERIOD_MS
+        rows += [f"{case_id},{s.track_id},{frame_id},{ts},{s.csv_cells}" for s in fr.states]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACK_COLUMNS)
-        for fr in frames:
-            frame_id = fr.timestamp_ms // FRAME_PERIOD_MS
-            for s in fr.states:
-                writer.writerow([
-                    case_id, s.track_id, frame_id, fr.timestamp_ms, s.agent_type,
-                    repr(s.x), repr(s.y), repr(s.vx), repr(s.vy), repr(s.yaw),
-                    repr(s.length), repr(s.width),
-                ])
+        fh.write("".join(rows))
 
 
 def write_log(log_: ScenarioLog, path) -> None:

@@ -40,8 +40,10 @@ from .scene_io import (
 
 DEFAULT_N_RUNS = 385
 DEFAULT_ENUMERATION_CAP = 1_000_000
-# upper bound of enumeration_cap: a batch holds every child's log in memory,
-# so a larger cap would end in a MemoryError instead of a validation error
+# upper bound of enumeration_cap: a batch holds one result per child, and
+# under the library's `keep_log` every child's log, so a larger cap could end
+# in a MemoryError instead of a validation error (the CLI's children drop
+# their logs once written)
 MAX_ENUMERATION_CAP = DEFAULT_ENUMERATION_CAP
 # a neighbour ahead in a plan key: station, speed and length, bit for bit
 _NEIGHBOUR = struct.Struct("<3d")
@@ -178,33 +180,45 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
     each for the `replan_interval` steps used before the next replan; the
     seed's earlier frames are never read.
 
-    `plan_memo` is a dict shared by the children of one batch; it holds
-    their "paths", "projections" and "plans" memos, each keyed on a state's
-    exact content, its `ParticipantState.key`. A path follower's path is
-    resolved once per distinct own state, route selector and seed lane, and
-    its plan is made once per distinct planner input: its own state, spec,
-    path and steps and, for an IDM driver, the station, speed and length of
-    every vehicle ahead on its path, whatever the rest of the frame holds.
-    An `OffMapError` fails the child at its step and is never stored.
+    `plan_memo` is a dict shared by the children of one batch. Its "paths",
+    "projections" and "plans" memos are keyed on a state's exact content, its
+    `ParticipantState.key`. A path follower's path is resolved once per
+    distinct own state, route selector and seed lane, and its plan is made
+    once per distinct planner input: its own state, spec, path and steps
+    and, for an IDM driver, the station, speed and length of every vehicle
+    ahead on its path, whatever the rest of the frame holds. An `OffMapError`
+    fails the child at its step and is never stored.
+
+    Its "specs" and "replays" memos belong to the one seed it keeps under
+    "seed", and start afresh when a child of another seed object runs: a
+    track's spec is resolved once per roster spec, at the seed's current
+    speed, and a replay track's plan once per recorded index and steps, from
+    the seed's recorded frames.
     """
     ids = seed.track_ids
     missing = [tid for tid in ids if tid not in assignment.mapping]
     if missing:
         raise ScenexError(f"assignment misses participant(s) {missing}")
 
-    current = seed.current
-    resolved = {
-        tid: resolve_spec(assignment.mapping[tid], current.get(tid).speed)
-        for tid in ids
-    }
-    recorded = seed.frames + seed.future
-    base_index = len(seed.frames) - 1
-    graph = seed.map_graph
-
     if plan_memo is None:
         plan_memo = {}
     for name in ("paths", "projections", "plans"):
         plan_memo.setdefault(name, {})
+    if plan_memo.get("seed") is not seed:
+        plan_memo.update(seed=seed, specs={}, replays={})
+    specs = plan_memo["specs"]
+    replays = plan_memo["replays"]
+
+    current = seed.current
+    resolved = {}
+    for tid in ids:
+        key = (tid, assignment.mapping[tid])
+        spec = specs.get(key)
+        if spec is None:
+            spec = specs[key] = resolve_spec(key[1], current.get(tid).speed)
+        resolved[tid] = spec
+    base_index = len(seed.frames) - 1
+    graph = seed.map_graph
     seed_lanes = {}
     plans = {}
     plan_step = 0
@@ -219,8 +233,12 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
                 spec = resolved[tid]
                 try:
                     if spec.kind == "replay":
-                        plan = plan_replay(WorldView(frame, tid, cfg.replan_interval),
-                                           recorded, base_index + step)
+                        key = (tid, base_index + step, cfg.replan_interval)
+                        plan = replays.get(key)
+                        if plan is None:
+                            plan = replays[key] = plan_replay(
+                                WorldView(frame, tid, cfg.replan_interval),
+                                seed.frames + seed.future, key[1])
                     else:
                         me = frame.states[i]
                         if step == 0:

@@ -118,8 +118,11 @@ def pair_contexts(engine, frame, routes=None):
             for other in states:
                 if other.track_id == state.track_id:
                     continue
-                other_station, lateral, _ = project(path, other.x, other.y)
-                if abs(lateral) <= LEADER_CLEARANCE and other_station > station:
+                other_station, lateral, distance = project(path, other.x, other.y)
+                # near the path: within the clearance of its closest segment's
+                # line, and of its closest point with 1e-9 allowed for rounding
+                near = abs(lateral) <= LEADER_CLEARANCE and distance <= LEADER_CLEARANCE + 1e-9
+                if near and other_station > station:
                     gaps[other.track_id] = max(
                         other_station - station - 0.5 * (state.length + other.length),
                         MIN_NET_GAP)

@@ -81,6 +81,34 @@ class TestFindLeader:
         view = view_of([state(1, 10.0), state(2, 12.0)], 1)
         assert first_leader(view, main_path)[1] == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("points, other", [
+        ([(0.0, 0.0), (10.0, 0.0)], (30.0, 0.0)),  # 20 m past the path's end
+        ([(0.0, 0.0), (10.0, 0.0), (10.0, 10.0)], (25.0, -0.5)),  # beyond an outer corner
+    ])
+    def test_far_from_the_path_never_leads(self, points, other):
+        # the closest point is a vertex: the offset to the closest segment's
+        # line is within the clearance, the distance to the path is not
+        path = Polyline(points)
+        projection = path.project(*other)
+        assert abs(projection[1]) <= 0.5 and projection[2] >= 15.0
+        assert leader_gap(2.0, 4.5, projection, 4.5) is None
+        assert first_leader(view_of([state(1, 2.0), state(2, *other)], 1), path) is None
+
+    @pytest.mark.parametrize("other, s_net", [
+        ((13.0, 0.0), 3.5),  # 3 m past the path's end
+        ((13.0, 4.0), 3.5),  # exactly LEADER_CLEARANCE past the end
+        ((8.0, 5.0), 1.5),  # exactly LEADER_CLEARANCE to the side
+        ((8.0, -5.0), 1.5),
+    ])
+    def test_within_the_clearance_of_the_path_leads(self, other, s_net):
+        path = Polyline([(0.0, 0.0), (10.0, 0.0)])
+        assert leader_gap(2.0, 4.5, path.project(*other), 4.5) == s_net
+
+    def test_just_beyond_the_clearance_past_the_end_never_leads(self):
+        path = Polyline([(0.0, 0.0), (10.0, 0.0)])
+        assert path.project(13.0, 4.0 + 1e-6)[2] > 5.0 + 1e-9
+        assert leader_gap(2.0, 4.5, path.project(13.0, 4.0 + 1e-6), 4.5) is None
+
     def test_neighbours_ahead_nearest_then_slower_then_shorter(self, main_path):
         me = state(1, 10.0)
         states = [me, state(2, 30.0, 1.0, vx=8.0, length=5.0),

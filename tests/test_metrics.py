@@ -514,6 +514,17 @@ class TestSharedProjections:
         following = {(c.a.track_id, c.b.track_id) for c in contexts if c.following}
         assert (1, 2) in following and (1, 3) not in following
 
+    def test_vehicle_far_past_the_path_end_does_not_lead(self, straight_map):
+        # 1's path ends at x = 100: 3 is 3 m past its end, 2 is 20 m past it,
+        # both on the line of its last segment
+        frame = SceneFrame(100, (state(1, 10.0, vx=10.0), state(2, 120.0, vx=8.0),
+                                 state(3, 103.0, vx=8.0)))
+        contexts = MetricEngine(straight_map).pair_contexts(frame)
+        assert context_bits(contexts) == context_bits(
+            oracles.pair_contexts(MetricEngine(straight_map), frame))
+        following = {(c.a.track_id, c.b.track_id) for c in contexts if c.following}
+        assert (1, 3) in following and (1, 2) not in following
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_equals_per_state_projection_on_the_junction_map(self, junction_scene,

@@ -1,8 +1,10 @@
 import csv
+import io
 import math
 import pickle
 import random
 from dataclasses import replace
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings
@@ -474,3 +476,91 @@ class TestStateKey:
         relabelled = ScenarioLog(seed, tuple(SceneFrame(f.timestamp_ms, tuple(
             replace(s, track_id=s.track_id + 10) for s in f.states)) for f in frames))
         assert relabelled.digest != log.digest
+
+
+def reference_text(case_id, frames):
+    """The track CSV of `frames` as one plain `csv.writer` writes it, row by row."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(TRACK_COLUMNS)
+    for fr in frames:
+        for s in fr.states:
+            writer.writerow([case_id, s.track_id, fr.timestamp_ms // 100, fr.timestamp_ms,
+                             s.agent_type, s.x, s.y, s.vx, s.vy, s.yaw, s.length, s.width])
+    return buf.getvalue()
+
+
+def written_text(tmp_path, case_id, frames, name="log.csv"):
+    path = tmp_path / name
+    write_case(case_id, frames, path)
+    return path.read_bytes().decode()
+
+
+class TestRowText:
+    """`write_case` renders each state's cells once per state object, and
+    writes what a plain `csv.writer` writes, byte for byte."""
+
+    @pytest.mark.parametrize("agent_type", ['big,truck', 'say "car"', '"', "a\nb"])
+    def test_agent_type_quoted(self, tmp_path, agent_type):
+        frames = (SceneFrame(100, (ParticipantState(1, agent_type, 1.0, 2.0, 0.0, 3.0, 0.0),
+                                   ParticipantState(2, "car", 5.0, 2.0, 0.0, 3.0, 0.0))),)
+        text = written_text(tmp_path, 3, frames)
+        assert text == reference_text(3, frames)
+        assert '"' in text.splitlines()[1]
+
+    def test_extreme_floats(self, tmp_path):
+        tiny = 5e-324  # the least subnormal
+        states = (
+            ParticipantState(1, "car", -0.0, 0.0, -0.0, 0.0, -0.0),
+            ParticipantState(2, "car", 0.0, -0.0, 0.0, -0.0, 0.0),
+            ParticipantState(3, "car", tiny, -tiny, 2.2e-308, 1e308, -1e308, 1e308, tiny),
+            ParticipantState(4, "truck", 0.1, 1 / 3, -math.pi, 12345.678, 1e-7, 12.0, 2.5),
+        )
+        frames = (SceneFrame(100, states), SceneFrame(200, states[::-1]))
+        text = written_text(tmp_path, 0, frames)
+        assert text == reference_text(0, frames)
+        assert ",-0.0," in text and "5e-324" in text and "1e+308" in text
+
+    def test_state_repeated_across_frames_and_logs(self, tmp_path, monkeypatch):
+        rendered = []
+        original = ParticipantState.__dict__["csv_cells"].func
+
+        def counting(state):
+            rendered.append(state)
+            return original(state)
+
+        cells = cached_property(counting)
+        cells.__set_name__(ParticipantState, "csv_cells")
+        monkeypatch.setattr(ParticipantState, "csv_cells", cells)
+        held = ParticipantState(1, "car", 1.5, -0.0, 0.25, 8.0, 0.0)
+        moving = [ParticipantState(2, "car", 10.0 + k, 0.0, 0.0, 8.0, 0.0) for k in range(3)]
+        frames = tuple(SceneFrame(100 * (k + 1), (held, moving[k])) for k in range(3))
+        for case_id, name in ((1, "a.csv"), (7, "b.csv")):
+            assert written_text(tmp_path, case_id, frames, name) == \
+                reference_text(case_id, frames)
+        assert len(rendered) == 4
+        assert {id(s) for s in rendered} == {id(held)} | {id(s) for s in moving}
+
+    def test_equal_states_that_are_distinct_objects(self, tmp_path):
+        first = ParticipantState(1, "car", 1.5, 2.0, 0.25, 8.0, 0.0)
+        again = ParticipantState(1, "car", 1.5, 2.0, 0.25, 8.0, 0.0)
+        signed = ParticipantState(1, "car", 1.5, 2.0, 0.25, 8.0, -0.0)
+        assert first == again == signed  # equal as numbers only
+        frames = tuple(SceneFrame(100 * (k + 1), (s,)) for k, s in
+                       enumerate((first, again, signed, first)))
+        text = written_text(tmp_path, 2, frames)
+        assert text == reference_text(2, frames)
+        rows = text.splitlines()[1:]
+        assert rows[0].split(",")[4:] == rows[1].split(",")[4:] == rows[3].split(",")[4:]
+        assert rows[2].split(",")[8] == "-0.0"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.text(max_size=6), *[st.floats(allow_nan=False,
+                                                               allow_infinity=False)] * 5),
+                    min_size=1, max_size=4))
+    def test_equals_the_reference(self, tmp_path_factory, rows):
+        states = tuple(ParticipantState(tid, agent_type, *floats)
+                       for tid, (agent_type, *floats) in enumerate(rows, start=1))
+        frames = (SceneFrame(100, states), SceneFrame(200, states))
+        assert written_text(tmp_path_factory.mktemp("rows"), -4, frames) == \
+            reference_text(-4, frames)

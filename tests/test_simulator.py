@@ -1,6 +1,7 @@
 import math
 from concurrent.futures import Future, process
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from functools import cached_property
 
 import pytest
@@ -12,6 +13,7 @@ from scenex.map_model import MapGraph, match_seed_lane
 from scenex.metrics import MetricEngine
 from scenex.scene_io import (
     MAX_STEPS,
+    Case,
     ParticipantState,
     SceneFrame,
     SeedScene,
@@ -473,6 +475,61 @@ class TestPlanMemo:
                     0, "standard", "OverflowError")
                 assert child.assignment.mapping[child.track_id] == overflow
             assert_children_run_alone(batch, seed)
+
+
+class TestBatchMemo:
+    """The batch memo's resolved specs and replay plans, made once per seed."""
+
+    def test_children_equal_fresh_memo_runs(self, straight_map):
+        seed = extract_seed(replay_case(), 9, map_graph=straight_map)
+        roster = [ModelSpec("standard"),
+                  ModelSpec("risky", params=profile_params("risky", 15.0)),
+                  ModelSpec("constant_velocity"), ModelSpec("emergency_brake"),
+                  ModelSpec("replay")]
+        batch = run_enumerated(seed, roster)
+        assert len(batch.children) == 25 and batch.n_failed == 0
+        assert_children_run_alone(batch, seed)
+
+    def test_replay_planned_once_per_track_and_replan_step(self, monkeypatch, roster6):
+        calls = []
+        original = simulator.plan_replay
+
+        def counting(view, recorded, current_index):
+            calls.append((view.self_id, current_index, view.horizon_steps))
+            return original(view, recorded, current_index)
+
+        monkeypatch.setattr(simulator, "plan_replay", counting)
+        _, seed = synth_scene("car_following", {"n_vehicles": 3})
+        batch = run_enumerated(seed, roster6)
+        assert batch.n_failed == 0
+        cfg = SimConfig()
+        base = len(seed.frames) - 1
+        assert sorted(calls) == [(tid, base + step, cfg.replan_interval)
+                                 for tid in seed.track_ids
+                                 for step in range(0, cfg.horizon_steps, cfg.replan_interval)]
+
+    def test_shared_memo_gives_each_seed_its_own_replay(self):
+        case = replay_case()
+        moved = Case(case.case_id, case.frames[:10] + tuple(
+            SceneFrame(f.timestamp_ms, tuple(replace(s, y=1.0) for s in f.states))
+            for f in case.frames[10:]))
+        seeds = [extract_seed(c, 9) for c in (case, moved)]
+        assert seeds[0].frames == seeds[1].frames  # one history, two futures
+        spec = ModelSpec("replay")
+        a = simulator.Assignment({tid: spec for tid in seeds[0].track_ids}, ("sampled", 0))
+        memo = {}
+        for seed in seeds + seeds[:1]:
+            assert run_child(seed, a, plan_memo=memo).frames == seed.future[:30]
+
+    def test_shared_memo_resolves_each_seeds_target_speed(self, straight_map):
+        # a standard driver without v0 targets its seed's current speed
+        a = simulator.Assignment({1: ModelSpec("standard")}, ("sampled", 0))
+        memo = {}
+        for speed in (6.0, 12.0, 6.0):
+            seed = seed_of(straight_map, (1, 10.0, 0.0, 0.0, speed))
+            log = run_child(seed, a, plan_memo=memo)
+            assert log.digest == run_child(seed, a).digest
+            assert log.frames[-1].get(1).speed == pytest.approx(speed)
 
 
 @pytest.fixture
