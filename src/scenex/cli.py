@@ -243,10 +243,11 @@ def _run_simulation(args, mode) -> int:
     finish = _ScoreAndWrite(engine, os.path.join(cfg.output_dir, "logs"))
     if mode == "enumerate":
         batch = simulator.run_enumerated(seed, roster, sim_cfg, jobs=args.jobs,
-                                         cap=cfg.enumeration_cap, finish=finish)
+                                         cap=cfg.enumeration_cap, finish=finish,
+                                         plan_memo=engine.memo)
     else:
         batch = simulator.run_batch(seed, roster, cfg.n_runs, sim_cfg, jobs=args.jobs,
-                                    finish=finish)
+                                    finish=finish, plan_memo=engine.memo)
     _write_outputs(cfg, batch, engine, seed, mode)
     if batch.n_failed == len(batch.children):
         print("error: all children failed", file=sys.stderr)

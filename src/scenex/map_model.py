@@ -312,13 +312,26 @@ def path_intersection(pa: Polyline, pb: Polyline):
     return None
 
 
+def state_path(memo, graph, state, selector, seed_lane, horizon):
+    """`path_for_pose` of `state` (None without a map), once per `memo["paths"]`
+    and (exact state, route selector, seed lane, graph, horizon); errors propagate."""
+    if graph is None:
+        return None
+    key = (state.key, selector, seed_lane, graph, horizon)
+    path = memo["paths"].get(key)
+    if path is None:
+        path = memo["paths"][key] = path_for_pose(graph, state.x, state.y, state.yaw,
+                                                  selector, horizon, seed_lane)
+    return path
+
+
 def project_state(memo, path, state):
-    """`path.project` of `state`'s position, once per `memo` and (path, exact
-    state): `memo` maps a path to {`ParticipantState.key`: projection}. The
-    planner keeps one memo per batch, the metric engine one per engine."""
-    on_path = memo.get(path)
+    """`path.project` of `state`'s position, once per (path, exact state) in
+    `memo["projections"]`: {path: {`ParticipantState.key`: projection}}. The
+    planner and the metric engine share one `memo` (`MetricEngine.memo`)."""
+    on_path = memo["projections"].get(path)
     if on_path is None:
-        on_path = memo[path] = {}
+        on_path = memo["projections"][path] = {}
     hit = on_path.get(state.key)
     if hit is None:
         hit = on_path[state.key] = path.project(state.x, state.y)

@@ -16,10 +16,11 @@ from .errors import OffMapError, SchemaError
 from .map_model import (
     DEFAULT_ROUTE_HORIZON,
     match_seed_lane,
-    path_for_pose,
     path_intersection,
     project_state,
+    state_path,
 )
+from .schema import positive_number
 
 DEFAULT_METRICS = ("distance", "gap_time", "inv_ttc", "pttc", "wttc")
 # metrics whose scenario worst is the maximum; all others minimize
@@ -146,7 +147,7 @@ class MetricEngine:
     of the `DEFAULT_METRICS`.
 
     Each participant is judged on the path the simulator gives it
-    (`path_for_pose` with its route selector in the child's assignment);
+    (`state_path` with its route selector in the child's assignment);
     off-map participants contribute to distance and WTTC only. A path is
     its route's centerline, one `Polyline` per route.
 
@@ -162,13 +163,13 @@ class MetricEngine:
     def __init__(self, map_graph, pttc_decel=DEFAULT_PTTC_DECEL,
                  wttc_accel=DEFAULT_WTTC_ACCEL, route_horizon=DEFAULT_ROUTE_HORIZON):
         self.map_graph = map_graph
-        self.pttc_decel = pttc_decel
-        self.wttc_accel = wttc_accel
-        self.route_horizon = route_horizon
+        self.pttc_decel = positive_number("pttc_decel", pttc_decel)
+        self.wttc_accel = positive_number("wttc_accel", wttc_accel)
+        self.route_horizon = positive_number("route_horizon", route_horizon)
         self._isect_cache = {}  # (path, path) -> `path_intersection`
         self._fingerprints = {}
         self._states = {}       # (state key, route) -> `_Row`
-        self._projections = {}  # `project_state`'s memo
+        self.memo = {"paths": {}, "projections": {}}  # a batch's `plan_memo` too
 
     def _routes(self, seed, assignment):
         """track id -> (route selector, seed lane) for non-default selectors."""
@@ -203,11 +204,11 @@ class MetricEngine:
         """The `_Row` of a state under its key, (state key, route)."""
         _, (selector, seed_lane) = key
         try:
-            path = path_for_pose(self.map_graph, state.x, state.y, state.yaw,
-                                 selector, self.route_horizon, seed_lane)
+            path = state_path(self.memo, self.map_graph, state, selector, seed_lane,
+                              self.route_horizon)
         except OffMapError:
             path = None
-        station = None if path is None else project_state(self._projections, path, state)[0]
+        station = None if path is None else project_state(self.memo, path, state)[0]
         return _Row(key, path, station, state.speed, effective_radius(state), {})
 
     def _frame(self, frame, routes):
@@ -231,7 +232,7 @@ class MetricEngine:
         point (`_crossing`); each None when there is none."""
         s_net = delta_v = None
         if row_a.path is not None:
-            proj = project_state(self._projections, row_a.path, b)
+            proj = project_state(self.memo, row_a.path, b)
             s_net = leader_gap(row_a.station, a.length, proj, b.length)
             if s_net is not None:
                 delta_v = row_a.speed - row_b.speed

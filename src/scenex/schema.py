@@ -29,6 +29,13 @@ def is_positive_number(value) -> bool:
     return _is_number(value) and value > 0
 
 
+def positive_number(name, value):
+    """`value`, or a ValueError naming `name` if it is not a finite number > 0."""
+    if not is_positive_number(value):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+    return value
+
+
 # annotation -> (accepts a value, what the value must be)
 RULES = {
     "str": (lambda v: isinstance(v, str), "a string"),

@@ -29,7 +29,7 @@ from .behavior import (
     resolve_spec,
 )
 from .errors import ChildRunError, EnumerationCapError, ScenexError
-from .map_model import DEFAULT_ROUTE_HORIZON, match_seed_lane, path_for_pose, project_state
+from .map_model import DEFAULT_ROUTE_HORIZON, match_seed_lane, project_state, state_path
 from .scene_io import (
     FRAME_PERIOD_MS,
     MAX_STEPS,
@@ -37,6 +37,7 @@ from .scene_io import (
     ScenarioLog,
     SeedScene,
 )
+from .schema import positive_number
 
 DEFAULT_N_RUNS = 385
 DEFAULT_ENUMERATION_CAP = 1_000_000
@@ -61,6 +62,7 @@ class SimConfig:
             raise ValueError(f"horizon_steps must be in 1..{MAX_STEPS}")
         if not 1 <= self.replan_interval <= self.horizon_steps:
             raise ValueError("replan_interval must be in 1..horizon_steps")
+        positive_number("route_horizon", self.route_horizon)
 
 
 @dataclass(frozen=True)
@@ -129,45 +131,31 @@ def enumerate_assignments(seed: SeedScene, roster, cap=DEFAULT_ENUMERATION_CAP):
         yield Assignment(mapping, ("enumerated", index))
 
 
-def _path(memo, graph, me, spec, seed_lane, cfg):
-    """`path_for_pose` of `me`, once per batch `memo` and exact state (its
-    `key`), route selector and seed lane. Without a map there is no path
-    (None); an `OffMapError` propagates and is not stored."""
-    if graph is None:
-        return None
-    key = (me.key, spec.route_selector, seed_lane, graph, cfg.route_horizon)
-    paths = memo["paths"]
-    path = paths.get(key)
-    if path is None:
-        path = paths[key] = path_for_pose(graph, me.x, me.y, me.yaw, spec.route_selector,
-                                          cfg.route_horizon, seed_lane)
-    return path
-
-
-def _plan(memo, frame, i, spec, path, steps):
+def _plan(memo, graph, frame, i, spec, seed_lane, cfg):
     """`plan_path_follow` from `frame` for the path follower whose state is
-    its `i`th, once per batch `memo` and planner input: the own state's
-    exact content (its `key`: track id, agent type and floats), the resolved
-    spec, the path, the steps, and the bit-exact (station, speed, length) of
-    every neighbour ahead (`neighbours_ahead`) in the planner's order, which
-    IDM drivers alone read. The planner reads nothing else, so an equal
-    input plans the same states. Each exact state is projected onto a path
-    once per batch (`project_state`), for the key and the planner."""
+    its `i`th, on its `state_path`, once per `memo` and planner input: the
+    own state's exact content (its `key`: track id, agent type and floats),
+    the resolved spec, path and steps, and the bit-exact (station, speed,
+    length) of every neighbour ahead (`neighbours_ahead`) in the planner's
+    order, which IDM drivers alone read. The planner reads nothing else, so
+    an equal input plans the same states. Each exact state is projected onto
+    a path once per `memo` (`project_state`), for the key and the planner."""
     states = frame.states
     me = states[i]
+    path = state_path(memo, graph, me, spec.route_selector, seed_lane, cfg.route_horizon)
     projections = None
     ahead = b""
     if path is not None and spec.kind in IDM_KINDS:
-        projections = [project_state(memo["projections"], path, s) for s in states]
+        projections = [project_state(memo, path, s) for s in states]
         ahead = b"".join(
             _NEIGHBOUR.pack(proj[0], speed, length)
             for proj, speed, length in neighbours_ahead(me, projections[i][0],
                                                         states, projections))
-    key = (me.key, spec, path, steps, ahead)
+    key = (me.key, spec, path, cfg.replan_interval, ahead)
     plan = memo["plans"].get(key)
     if plan is None:
         plan = memo["plans"][key] = plan_path_follow(
-            WorldView(frame, me.track_id, steps, projections), spec, path)
+            WorldView(frame, me.track_id, cfg.replan_interval, projections), spec, path)
     return plan
 
 
@@ -180,14 +168,14 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
     each for the `replan_interval` steps used before the next replan; the
     seed's earlier frames are never read.
 
-    `plan_memo` is a dict shared by the children of one batch. Its "paths",
-    "projections" and "plans" memos are keyed on a state's exact content, its
-    `ParticipantState.key`. A path follower's path is resolved once per
-    distinct own state, route selector and seed lane, and its plan is made
-    once per distinct planner input: its own state, spec, path and steps
-    and, for an IDM driver, the station, speed and length of every vehicle
-    ahead on its path, whatever the rest of the frame holds. An `OffMapError`
-    fails the child at its step and is never stored.
+    `plan_memo` is a dict shared by a batch's children and by a `MetricEngine`
+    whose `memo` it is. Its "paths", "projections" and "plans" memos key on a
+    state's exact content (`ParticipantState.key`). A path follower's path is
+    resolved once per distinct own state, route selector and seed lane, and
+    its plan once per distinct planner input: its own state, spec, path and
+    steps and, for an IDM driver, the station, speed and length of every
+    vehicle ahead on its path, whatever the rest of the frame holds. An
+    `OffMapError` fails the child at its step and is never stored.
 
     Its "specs" and "replays" memos belong to the one seed it keeps under
     "seed", and start afresh when a child of another seed object runs: a
@@ -244,8 +232,7 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
                         if step == 0:
                             seed_lanes[tid] = match_seed_lane(
                                 graph, me, spec.route_selector)
-                        path = _path(plan_memo, graph, me, spec, seed_lanes[tid], cfg)
-                        plan = _plan(plan_memo, frame, i, spec, path, cfg.replan_interval)
+                        plan = _plan(plan_memo, graph, frame, i, spec, seed_lanes[tid], cfg)
                 except Exception as exc:
                     raise ChildRunError(tid, step, spec.kind, str(exc)) from exc
                 plans[tid] = plan
@@ -301,14 +288,12 @@ def keep_log(child, indices) -> ChildResult:
 # planner inputs, so contiguous chunks keep a worker's memos hitting
 CHUNK_SIZE = 64
 
-_WORKER_CTX = {}
+_WORKER_CTX = []  # a pool worker's (seed, cfg, finish, plan_memo)
 
 
-def _init_worker(seed, cfg, finish):
-    _WORKER_CTX["seed"] = seed
-    _WORKER_CTX["cfg"] = cfg
-    _WORKER_CTX["finish"] = finish
-    _WORKER_CTX["plan_memo"] = {}
+def _init_worker(*args):
+    # the args come as one pickle or fork image: `finish`'s engine memo stays `plan_memo`
+    _WORKER_CTX[:] = args
 
 
 def _failed(index, assignment, exc, cause) -> ChildResult:
@@ -320,7 +305,7 @@ def _failed(index, assignment, exc, cause) -> ChildResult:
     )
 
 
-def _run_task(seed, cfg, plan_memo, finish, task) -> ChildResult:
+def _run_task(seed, cfg, finish, plan_memo, task) -> ChildResult:
     """Simulate a task's child, then hand a completed one to `finish` with
     the indices of every task of its specs. `finish` runs outside the
     `except`: its own errors, such as an `OSError` from a log write, end the
@@ -338,10 +323,9 @@ def _worker(chunk):
     """Run a chunk of tasks in a pool worker. A result goes back without its
     assignment, which the parent has, and a kept log as its frames alone,
     which the parent puts under its own seed."""
-    ctx = _WORKER_CTX
     results = []
     for task in chunk:
-        child = _run_task(ctx["seed"], ctx["cfg"], ctx["plan_memo"], ctx["finish"], task)
+        child = _run_task(*_WORKER_CTX, task)
         frames = None if child.log is None else child.log.frames
         results.append(replace(child, assignment=None, log=frames))
     return results
@@ -354,7 +338,7 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_pool(seed, cfg, distinct, workers, finish):
+def _run_pool(seed, cfg, distinct, workers, finish, plan_memo):
     """The results of `distinct` tasks run in a pool, in task order. A chunk
     whose worker died fails each of its children with `BrokenProcessPool`;
     the chunks received before are kept. The pool's module, and with it
@@ -364,7 +348,7 @@ def _run_pool(seed, cfg, distinct, workers, finish):
     chunks = [distinct[i:i + CHUNK_SIZE] for i in range(0, len(distinct), CHUNK_SIZE)]
     results = []
     pool = ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                               initargs=(seed, cfg, finish))
+                               initargs=(seed, cfg, finish, plan_memo))
     try:
         futures = [pool.submit(_worker, chunk) for chunk in chunks]
         for chunk, future in zip(chunks, futures):
@@ -380,7 +364,7 @@ def _run_pool(seed, cfg, distinct, workers, finish):
     return results
 
 
-def _execute(seed, cfg, tasks, jobs, finish) -> BatchResult:
+def _execute(seed, cfg, tasks, jobs, finish, plan_memo) -> BatchResult:
     """Run the (index, assignment) `tasks`, each distinct assignment once,
     and return their children in task order.
 
@@ -392,7 +376,8 @@ def _execute(seed, cfg, tasks, jobs, finish) -> BatchResult:
     when that is one. Each completed child then goes through
     `finish(child, indices)` in the process that simulated it, with the
     indices of every task of its specs, its own first; what `finish`
-    returns is the child's result. `keep_log` keeps the log.
+    returns is the child's result. `keep_log` keeps the log. The children
+    share `plan_memo` (`run_child`; None: a new dict), each worker its copy.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -403,33 +388,36 @@ def _execute(seed, cfg, tasks, jobs, finish) -> BatchResult:
     for key, (index, assignment) in zip(keys, tasks):
         groups.setdefault(key, (index, assignment, []))[2].append(index)
     distinct = list(groups.values())
+    if plan_memo is None:
+        plan_memo = {}
     # the pool starts all its workers at the first task
     workers = min(jobs, available_cpus(), len(distinct))
     if workers > 1:
-        results = _run_pool(seed, cfg, distinct, workers, finish)
+        results = _run_pool(seed, cfg, distinct, workers, finish, plan_memo)
     else:
-        plan_memo = {}
-        results = [_run_task(seed, cfg, plan_memo, finish, task) for task in distinct]
+        results = [_run_task(seed, cfg, finish, plan_memo, task) for task in distinct]
     ran = dict(zip(groups, results))
     return BatchResult(tuple(replace(ran[key], index=index, assignment=assignment)
                              for key, (index, assignment) in zip(keys, tasks)))
 
 
 def run_batch(seed: SeedScene, roster, n_runs=DEFAULT_N_RUNS,
-              cfg: SimConfig = SimConfig(), jobs=1, finish=keep_log) -> BatchResult:
+              cfg: SimConfig = SimConfig(), jobs=1, finish=keep_log,
+              plan_memo=None) -> BatchResult:
     """Run `n_runs` sampled children; child i uses run seed rng_seed XOR i.
-    Each completed child goes through `finish` (see `_execute`)."""
+    Children go through `finish` and share `plan_memo` (see `_execute`)."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     tasks = [
         (i, assign_models(seed, roster, cfg.rng_seed ^ i)) for i in range(n_runs)
     ]
-    return _execute(seed, cfg, tasks, jobs, finish)
+    return _execute(seed, cfg, tasks, jobs, finish, plan_memo)
 
 
 def run_enumerated(seed: SeedScene, roster, cfg: SimConfig = SimConfig(),
-                   jobs=1, cap=DEFAULT_ENUMERATION_CAP, finish=keep_log) -> BatchResult:
+                   jobs=1, cap=DEFAULT_ENUMERATION_CAP, finish=keep_log,
+                   plan_memo=None) -> BatchResult:
     """Run every possible assignment (|roster| ** participants children).
-    Each completed child goes through `finish` (see `_execute`)."""
+    Children go through `finish` and share `plan_memo` (see `_execute`)."""
     tasks = list(enumerate(enumerate_assignments(seed, roster, cap=cap)))
-    return _execute(seed, cfg, tasks, jobs, finish)
+    return _execute(seed, cfg, tasks, jobs, finish, plan_memo)

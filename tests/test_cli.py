@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -1097,3 +1098,52 @@ def test_serial_commands_do_not_load_the_process_pool(tmp_path):
     # the pool's module pulls in multiprocessing; only a pool needs it
     assert modules_after_serial_enumerate(
         tmp_path, "multiprocessing", "concurrent.futures.process") == ["False", "False"]
+
+
+def test_pool_initargs_keep_one_store_through_a_pickle(tmp_path, monkeypatch):
+    # under spawn and forkserver a worker gets the initargs as one pickle: the
+    # engine of its `finish` and its planner must still hold one store
+    from concurrent.futures import process
+
+    from tests.test_simulator import StubPool
+
+    started = []
+
+    class RecordingPool(StubPool):
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(initargs)
+            super().__init__(max_workers, initializer, initargs)
+
+    monkeypatch.setattr(process, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulator, "available_cpus", lambda: 2)
+    cfg, _ = write_config(tmp_path)
+    assert main(["enumerate", "--config", str(cfg), "--jobs", "2"]) == EXIT_OK
+    [initargs] = started
+    for args in (initargs, pickle.loads(pickle.dumps(initargs))):
+        _, _, finish, plan_memo = args
+        assert finish.engine.memo is plan_memo
+
+
+def test_spawned_workers_write_what_one_process_writes(tmp_path):
+    # `spawn` is the start method on macOS and Windows, and `forkserver`, which
+    # also pickles the initargs, Linux's from Python 3.14; 256 children make
+    # four pool tasks for the two workers
+    if simulator.available_cpus() < 2:
+        pytest.skip("needs 2 usable CPUs")
+    cfg, _ = write_config(tmp_path, synth="{template: car_following, "
+                          "params: {n_vehicles: 4, gap: 20.0, speed: 10.0}}")
+    spawned, serial = tmp_path / "spawned", tmp_path / "serial"
+    code = ("import multiprocessing, sys\n"
+            "from scenex import cli\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "sys.exit(cli.main(['enumerate', '--config', sys.argv[1], '--jobs', '2',\n"
+            "                   '--output-dir', sys.argv[2]]))\n")
+    src = os.path.dirname(os.path.dirname(scenex.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", code, str(cfg), str(spawned)], env=env,
+                   check=True, timeout=120)
+    assert main(["enumerate", "--config", str(cfg), "--jobs", "1",
+                 "--output-dir", str(serial)]) == EXIT_OK
+    assert len(os.listdir(spawned / "logs")) == 256
+    assert TestWorkers.outputs(spawned) == TestWorkers.outputs(serial)

@@ -285,7 +285,7 @@ def test_project_state_projects_each_path_and_exact_state_once(monkeypatch):
     path = Polyline([(0.0, 0.0), (10.0, 0.0)])
     other = Polyline([(0.0, 0.0), (0.0, 10.0)])
     state = ParticipantState(1, "car", 3.0, 0.0, 0.0, 1.0, 0.0)
-    memo = {}
+    memo = {"projections": {}}
     first = project_state(memo, path, state)
     assert first == project(path, 3.0, 0.0)
     # an equal state, another object: the stored result, no new projection
@@ -298,8 +298,8 @@ def test_project_state_projects_each_path_and_exact_state_once(monkeypatch):
     project_state(memo, other, state)
     assert [(p, x, bits(y)) for p, x, y in calls] == [
         (path, 3.0, bits(0.0)), (path, 3.0, bits(-0.0)), (other, 3.0, bits(0.0))]
-    assert set(memo[path]) == {state.key, signed.key}
-    assert project_state(memo, path, signed) is memo[path][signed.key]
+    assert set(memo["projections"][path]) == {state.key, signed.key}
+    assert project_state(memo, path, signed) is memo["projections"][path][signed.key]
     assert len(calls) == 3
 
 

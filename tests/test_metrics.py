@@ -30,7 +30,7 @@ from scenex.scene_io import (
     synth_scene,
     write_log,
 )
-from scenex.simulator import run_enumerated
+from scenex.simulator import SimConfig, run_enumerated
 from tests import oracles
 from tests.oracles import bits
 
@@ -226,6 +226,27 @@ class TestOrdering:
             assert metric_pttc(ctx, decel=3.0) <= ttc + 1e-12
             # align the disc pair with the following pair
             assert metric_wttc(ctx, accel=7.5) <= ttc + 1e-12
+
+
+# a MetricEngine or SimConfig setting that is not a finite number > 0: a
+# zero or negative PTTC deceleration or WTTC acceleration would divide by
+# zero or take a root of a negative number at the first `aggregate`, a NaN
+# one would write NaN fingerprints, and a NaN or negative route horizon
+# would change which routes `enumerate_routes` returns
+@pytest.mark.parametrize("value", [0.0, -3.0, math.nan, math.inf, -math.inf, True])
+@pytest.mark.parametrize("make, field", [
+    (lambda **kw: MetricEngine(None, **kw), "pttc_decel"),
+    (lambda **kw: MetricEngine(None, **kw), "wttc_accel"),
+    (lambda **kw: MetricEngine(None, **kw), "route_horizon"),
+    (lambda **kw: SimConfig(**kw), "route_horizon"),
+], ids=["engine-pttc_decel", "engine-wttc_accel", "engine-route_horizon",
+        "simconfig-route_horizon"])
+def test_setting_not_a_finite_positive_number_rejected(make, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number > 0, "
+                                         f"got {value!r}$"):
+        make(**{field: value})
+    assert getattr(make(**{field: 2}), field) == 2
+    assert getattr(make(**{field: 0.5}), field) == 0.5
 
 
 class TestEngine:

@@ -6,7 +6,7 @@ from functools import cached_property
 
 import pytest
 
-from scenex import simulator
+from scenex import map_model, simulator
 from scenex.behavior import ModelSpec, WorldView, plan_path_follow, profile_params
 from scenex.errors import ChildRunError, EnumerationCapError, ScenexError
 from scenex.map_model import MapGraph, match_seed_lane
@@ -30,6 +30,8 @@ from scenex.simulator import (
     run_child,
     run_enumerated,
 )
+from tests import oracles
+from tests.test_metrics import exact
 
 
 def replay_case(n_tracks=2, n_frames=50):
@@ -357,15 +359,16 @@ class TestPlanMemo:
     def test_path_resolved_only_for_a_plan(self, t_junction_map, planner_calls,
                                            monkeypatch):
         # a path is resolved once per distinct (own state, route selector,
-        # seed lane) of a path follower at a replan, before its plan lookup
+        # seed lane) of a path follower at a replan, before its plan lookup;
+        # `map_model.state_path` is the one caller of `path_for_pose`
         path_calls = []
-        original = simulator.path_for_pose
+        original = map_model.path_for_pose
 
         def counting(*args):
             path_calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(simulator, "path_for_pose", counting)
+        monkeypatch.setattr(map_model, "path_for_pose", counting)
         seed = seed_of(t_junction_map, (1, 5.0, 0.0, 0.0, 8.0),
                        (2, 20.0, 0.0, 0.0, 10.0), (3, 35.0, 0.0, 0.0, 10.0))
         roster = [ModelSpec("standard", route_selector=1),
@@ -387,6 +390,52 @@ class TestPlanMemo:
                                 seed_lane))
         assert len(path_calls) == len(inputs) > 0
         assert len(planner_calls) > 0
+
+    def test_planner_and_engine_share_one_store(self, t_junction_map, monkeypatch):
+        # a batch run with the engine's `memo` as its `plan_memo`, then scored
+        # by that engine: a path is resolved once per distinct (own state,
+        # route selector, seed lane) across the planner and the engine
+        # together, and the fingerprints are those of an engine of its own
+        path_calls = []
+        original = map_model.path_for_pose
+
+        def counting(*args):
+            path_calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(map_model, "path_for_pose", counting)
+        seed = seed_of(t_junction_map, (1, 5.0, 0.0, 0.0, 8.0),
+                       (2, 20.0, 0.0, 0.0, 10.0), (3, 35.0, 0.0, 0.0, 10.0))
+        roster = [ModelSpec("standard", route_selector=1),
+                  ModelSpec("risky", route_selector=0),
+                  ModelSpec("constant_velocity", route_selector=1), ModelSpec("replay")]
+        engine = MetricEngine(t_junction_map)
+        batch = run_enumerated(seed, roster, plan_memo=engine.memo)
+        assert batch.n_failed == 0
+        vectors = [engine.aggregate(c.log, c.assignment) for c in batch.children]
+        cfg = SimConfig()
+        planned, scored = set(), set()
+        for child in batch.children:
+            frames = (seed.current,) + child.log.frames  # the frame of each step
+            for tid, spec in child.assignment.mapping.items():
+                seed_lane = match_seed_lane(t_junction_map, seed.current.get(tid),
+                                            spec.route_selector)
+                route = (spec.route_selector, seed_lane)
+                if seed_lane is None:
+                    route = ("straightest", None)
+                scored |= {(frame.get(tid).key, *route) for frame in child.log.frames}
+                if spec.kind != "replay":
+                    planned |= {(frames[step].get(tid).key, *route)
+                                for step in range(0, cfg.horizon_steps,
+                                                  cfg.replan_interval)}
+        assert len(path_calls) == len(planned | scored)
+        assert planned & scored  # each side resolved some paths for the other
+        monkeypatch.setattr(map_model, "path_for_pose", original)
+        for child, vector in zip(batch.children, vectors):
+            alone = MetricEngine(t_junction_map).aggregate(child.log, child.assignment)
+            oracle = oracles.aggregate(MetricEngine(t_junction_map), child.log,
+                                       child.assignment)
+            assert exact(vector) == exact(alone) == exact(oracle)
 
     def test_mapless_seed(self, planner_calls):
         seed = seed_of(None, (1, 0.0, 0.0, 0.3, 9.0), (2, 20.0, 5.0, 0.3, 7.0))
