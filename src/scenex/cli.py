@@ -11,7 +11,6 @@ import csv
 import fnmatch
 import json
 import os
-import shutil
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -115,6 +114,18 @@ def _log_name(index) -> str:
     return f"child_{index:05d}.csv"
 
 
+def _fresh(path):
+    """`path`, with the file at it, if any, unlinked first: every file
+    `simulate` and `enumerate` write is a new one, so a run never writes
+    through a hard link to an earlier file, such as a repeated log of an
+    earlier run or a `cp -al` snapshot of its directory."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return path
+
+
 @dataclass
 class _ScoreAndWrite:
     """The `finish` of `simulate` and `enumerate`, run in the process that
@@ -124,7 +135,11 @@ class _ScoreAndWrite:
 
     Equal digests (timestamps and each state's exact `key`; the case id is
     the batch's) mean equal bytes, so each distinct log is rendered once
-    per process and copied for the rest.
+    per process, and every other path of it is a hard link to that first
+    file. Each path is unlinked before it is created (`_fresh`), so a link
+    never joins a file another run or directory still holds. Where the
+    filesystem refuses a link (`EMLINK`, or no hard links at all), the log
+    is rendered at that path, which becomes the digest's first file.
     """
 
     engine: metrics.MetricEngine
@@ -137,12 +152,15 @@ class _ScoreAndWrite:
             os.makedirs(self.logs_dir, exist_ok=True)
         first = self.rendered.get(child.log.digest)
         for index in indices:
-            path = os.path.join(self.logs_dir, _log_name(index))
-            if first is None:
-                scene_io.write_log(child.log, path)
-                first = self.rendered[child.log.digest] = path
-            else:
-                shutil.copyfile(first, path)
+            path = _fresh(os.path.join(self.logs_dir, _log_name(index)))
+            if first is not None:
+                try:
+                    os.link(first, path)
+                    continue
+                except OSError:
+                    pass
+            scene_io.write_log(child.log, path)
+            first = self.rendered[child.log.digest] = path
         return replace(child, log=None, fingerprint=fingerprint)
 
 
@@ -191,13 +209,13 @@ def _write_outputs(cfg, batch, engine, seed, mode):
             entry.update(error=child.error, track_id=child.track_id, step=child.step,
                          model_kind=child.model_kind, error_class=child.error_class)
         children.append(entry)
-    metrics.write_metric_table(os.path.join(out, "metrics.csv"),
+    metrics.write_metric_table(_fresh(os.path.join(out, "metrics.csv")),
                                _metric_rows(batch))
     gt_written = False
     if cfg.tracks is not None:
         try:
             vector = analysis.ground_truth_overlay(seed, cfg.sim_config(), engine)
-            metrics.write_metric_table(os.path.join(out, "ground_truth.csv"),
+            metrics.write_metric_table(_fresh(os.path.join(out, "ground_truth.csv")),
                                        [(-1, cfg.rng_seed, vector)])
             gt_written = True
         except ValueError as exc:
@@ -216,7 +234,7 @@ def _write_outputs(cfg, batch, engine, seed, mode):
         "n_failed": batch.n_failed,
         "ground_truth": gt_written,
     }
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
+    with open(_fresh(os.path.join(out, "manifest.json")), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -346,6 +346,25 @@ def match_seed_lane(graph, state, selector):
     return match_to_lane(graph, state.x, state.y, state.yaw)[0]
 
 
+def seed_memo(memo, seed):
+    """`memo`, whose "specs", "replays" and "lanes" memos belong to the one
+    seed object it keeps under "seed": they start afresh for another seed."""
+    if memo.get("seed") is not seed:
+        memo.update(seed=seed, specs={}, replays={}, lanes={})
+    return memo
+
+
+def seed_lane(memo, graph, seed, tid, selector):
+    """`match_seed_lane` of track `tid`'s state in `seed`'s current frame, once
+    per (track, selector, graph) in the seed's "lanes" (`seed_memo`). The
+    planner and the metric engine share it; errors propagate."""
+    lanes = seed_memo(memo, seed)["lanes"]
+    key = (tid, selector, graph)
+    if key not in lanes:  # None, no lane, is stored too
+        lanes[key] = match_seed_lane(graph, seed.current.get(tid), selector)
+    return lanes[key]
+
+
 def path_for_pose(graph, x, y, yaw, selector="straightest",
                   horizon=DEFAULT_ROUTE_HORIZON, seed_lane=None):
     """Match a pose to a lane and return that lane's route centerline

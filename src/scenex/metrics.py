@@ -15,9 +15,9 @@ from .behavior import leader_gap
 from .errors import OffMapError, SchemaError
 from .map_model import (
     DEFAULT_ROUTE_HORIZON,
-    match_seed_lane,
     path_intersection,
     project_state,
+    seed_lane,
     state_path,
 )
 from .schema import positive_number
@@ -151,13 +151,15 @@ class MetricEngine:
     off-map participants contribute to distance and WTTC only. A path is
     its route's centerline, one `Polyline` per route.
 
-    The engine pays once for each distinct piece of work: a state's path,
-    station, speed and radius per exact state (`ParticipantState.key`) and
-    route, a state's projection per path and exact state, the crossing of
-    two paths, the five values of an ordered pair per pair of (exact state,
-    route) keys, and a fingerprint per distinct log and routes. A frame's
-    extrema fold its pairs' stored values; a pair recurs across frames and
-    children far more often than a whole frame does.
+    The engine pays once for each distinct piece of work: a participant's
+    seed lane per track and route selector (`seed_lane`, shared with the
+    planner), a state's path, station, speed and radius per exact state
+    (`ParticipantState.key`) and route, a state's projection per path and
+    exact state, the crossing of two paths, the five values of an ordered
+    pair per pair of (exact state, route) keys, and a fingerprint per
+    distinct log and routes. A frame's extrema fold its pairs' stored
+    values; a pair recurs across frames and children far more often than a
+    whole frame does.
     """
 
     def __init__(self, map_graph, pttc_decel=DEFAULT_PTTC_DECEL,
@@ -177,8 +179,7 @@ class MetricEngine:
         if assignment is None:
             return routes
         for tid, spec in assignment.mapping.items():
-            lane = match_seed_lane(self.map_graph, seed.current.get(tid),
-                                   spec.route_selector)
+            lane = seed_lane(self.memo, self.map_graph, seed, tid, spec.route_selector)
             if lane is not None:
                 routes[tid] = (spec.route_selector, lane)
         return routes

@@ -29,7 +29,7 @@ from .behavior import (
     resolve_spec,
 )
 from .errors import ChildRunError, EnumerationCapError, ScenexError
-from .map_model import DEFAULT_ROUTE_HORIZON, match_seed_lane, project_state, state_path
+from .map_model import DEFAULT_ROUTE_HORIZON, project_state, seed_lane, seed_memo, state_path
 from .scene_io import (
     FRAME_PERIOD_MS,
     MAX_STEPS,
@@ -177,11 +177,13 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
     vehicle ahead on its path, whatever the rest of the frame holds. An
     `OffMapError` fails the child at its step and is never stored.
 
-    Its "specs" and "replays" memos belong to the one seed it keeps under
-    "seed", and start afresh when a child of another seed object runs: a
-    track's spec is resolved once per roster spec, at the seed's current
-    speed, and a replay track's plan once per recorded index and steps, from
-    the seed's recorded frames.
+    Its "specs", "replays" and "lanes" memos belong to the one seed it keeps
+    under "seed", and start afresh when a child of another seed object runs
+    (`seed_memo`): a track's spec is resolved once per roster spec, at the
+    seed's current speed, a replay track's plan once per recorded index and
+    steps, from the seed's recorded frames, and a path follower's seed lane
+    once per track and route selector (`seed_lane`, which the metric
+    engine's routes read too).
     """
     ids = seed.track_ids
     missing = [tid for tid in ids if tid not in assignment.mapping]
@@ -192,9 +194,7 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
         plan_memo = {}
     for name in ("paths", "projections", "plans"):
         plan_memo.setdefault(name, {})
-    if plan_memo.get("seed") is not seed:
-        plan_memo.update(seed=seed, specs={}, replays={})
-    specs = plan_memo["specs"]
+    specs = seed_memo(plan_memo, seed)["specs"]
     replays = plan_memo["replays"]
 
     current = seed.current
@@ -228,10 +228,9 @@ def run_child(seed: SeedScene, assignment: Assignment, cfg: SimConfig = SimConfi
                                 WorldView(frame, tid, cfg.replan_interval),
                                 seed.frames + seed.future, key[1])
                     else:
-                        me = frame.states[i]
                         if step == 0:
-                            seed_lanes[tid] = match_seed_lane(
-                                graph, me, spec.route_selector)
+                            seed_lanes[tid] = seed_lane(plan_memo, graph, seed, tid,
+                                                        spec.route_selector)
                         plan = _plan(plan_memo, graph, frame, i, spec, seed_lanes[tid], cfg)
                 except Exception as exc:
                     raise ChildRunError(tid, step, spec.kind, str(exc)) from exc

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scenex
-from scenex import analysis, metrics, scene_io, simulator
+from scenex import analysis, map_model, metrics, scene_io, simulator
 from scenex.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -51,6 +51,38 @@ version: 1
 models:
   - {kind: constant_velocity}
   - {kind: emergency_brake}
+"""
+
+# every assignment has equal specs: 2 vehicles make 4 children and one log
+SAME_MODEL_ROSTER = """\
+format: scenex-roster
+version: 1
+models:
+  - {kind: constant_velocity}
+  - {kind: constant_velocity}
+"""
+
+# the front vehicle has no one ahead and drives at its target speed, so both
+# IDM drivers and constant velocity give it the same log
+REPEATING_ROSTER = """\
+format: scenex-roster
+version: 1
+models:
+  - {kind: standard}
+  - {kind: risky}
+  - {kind: constant_velocity}
+  - {kind: constant_velocity}
+"""
+
+ROUTE_ROSTER = """\
+format: scenex-roster
+version: 1
+models:
+  - {kind: standard, route_selector: 0}
+  - {kind: risky}
+  - {kind: constant_velocity, route_selector: 0}
+  - {kind: emergency_brake}
+  - {kind: replay}
 """
 
 
@@ -153,12 +185,7 @@ class TestEnumerate:
         assert len(combos) == 4
 
     def test_each_distinct_log_rendered_once(self, tmp_path, monkeypatch):
-        # the front vehicle has no one ahead and drives at its target speed,
-        # so both IDM drivers and constant velocity give it the same log
-        roster = ("format: scenex-roster\nversion: 1\nmodels:\n"
-                  "  - {kind: standard}\n  - {kind: risky}\n"
-                  "  - {kind: constant_velocity}\n  - {kind: constant_velocity}\n")
-        cfg, out = write_config(tmp_path, roster=roster)
+        cfg, out = write_config(tmp_path, roster=REPEATING_ROSTER)
         batches = []
         rendered = []
         run_enumerated = simulator.run_enumerated
@@ -179,10 +206,107 @@ class TestEnumerate:
         (batch,) = batches
         digests = {child.log.digest for child in batch.children}
         assert len(rendered) == len(digests) < 9 < len(batch.children)
+        inodes = {}
         for child in batch.children:
+            path = out / "logs" / f"child_{child.index:05d}.csv"
             write_log(child.log, tmp_path / "alone.csv")
-            assert (out / "logs" / f"child_{child.index:05d}.csv").read_bytes() == \
-                (tmp_path / "alone.csv").read_bytes()
+            assert path.read_bytes() == (tmp_path / "alone.csv").read_bytes()
+            inodes.setdefault(child.log.digest, set()).add(path.stat().st_ino)
+        # every other file of a log is a hard link to its first one
+        assert all(len(shared) == 1 for shared in inodes.values())
+        assert len(set.union(*inodes.values())) == len(digests)
+
+    def test_rerun_never_writes_through_a_file_at_its_outputs(self, tmp_path):
+        # a hard-linked snapshot (`cp -al`) of a run's directory keeps its
+        # bytes while another roster's run is written into that directory
+        cfg, scene, out = tracks_config(tmp_path)
+        scene_io.write_case(1, make_case(n_frames=60).frames, scene / "tracks.csv")
+        assert main(["enumerate", "--config", str(cfg), "--jobs", "1"]) == EXIT_OK
+        assert (out / "ground_truth.csv").exists()
+        before = read_bytes_tree(out)
+        shutil.copytree(out, tmp_path / "snapshot", copy_function=os.link)
+        (tmp_path / "roster.yaml").write_text(ROSTER)
+        assert main(["enumerate", "--config", str(cfg), "--jobs", "1"]) == EXIT_OK
+        assert read_bytes_tree(out) != before
+        assert read_bytes_tree(tmp_path / "snapshot") == before
+
+    def test_rerun_over_linked_logs_writes_what_a_fresh_run_writes(self, tmp_path):
+        # the first run's four logs are one file; each log of the second run
+        # is a new file, never one written through that file's other names
+        cfg, out = write_config(tmp_path, roster=SAME_MODEL_ROSTER)
+        assert main(["enumerate", "--config", str(cfg), "--jobs", "1"]) == EXIT_OK
+        logs = [out / "logs" / name for name in os.listdir(out / "logs")]
+        assert len(logs) == 4 and len({path.stat().st_ino for path in logs}) == 1
+        (tmp_path / "roster.yaml").write_text(TWO_MODEL_ROSTER)
+        fresh = tmp_path / "fresh"
+        for out_dir in (out, fresh):
+            assert main(["enumerate", "--config", str(cfg), "--jobs", "1",
+                         "--output-dir", str(out_dir)]) == EXIT_OK
+        assert TestWorkers.outputs(out) == TestWorkers.outputs(fresh)
+        assert len(set(read_bytes_tree(out / "logs").values())) == 4
+
+    def test_refused_link_renders_the_log_at_its_path(self, tmp_path, monkeypatch):
+        # a filesystem may refuse a hard link (EMLINK past ext4's 65,000
+        # links, or none at all): that path is rendered, once, and becomes
+        # its log's first file, and the outputs keep their bytes
+        cfg, out = write_config(tmp_path, roster=REPEATING_ROSTER)
+        rendered, linked = [], []
+        write_log, link = scene_io.write_log, os.link
+
+        def recording(log, path):
+            rendered.append(path)
+            write_log(log, path)
+
+        def every_other_refused(src, dst):
+            linked.append(dst)
+            if len(linked) % 2 == 0:
+                raise OSError(errno.EMLINK, "Too many links", dst)
+            link(src, dst)
+
+        monkeypatch.setattr(scene_io, "write_log", recording)
+        fresh = tmp_path / "fresh"
+        assert main(["enumerate", "--config", str(cfg), "--jobs", "1",
+                     "--output-dir", str(fresh)]) == EXIT_OK
+        n_distinct = len(rendered)
+        rendered.clear()
+        monkeypatch.setattr(os, "link", every_other_refused)
+        assert main(["enumerate", "--config", str(cfg), "--jobs", "1"]) == EXIT_OK
+        refused = linked[1::2]
+        assert len(refused) >= 3
+        assert len(rendered) == len(set(rendered)) == n_distinct + len(refused)
+        assert set(refused) <= set(rendered)
+        assert len(rendered) + len(linked[0::2]) == len(os.listdir(out / "logs"))
+        assert TestWorkers.outputs(out) == TestWorkers.outputs(fresh)
+
+    def test_seed_lanes_matched_once_per_track_and_selector(self, tmp_path,
+                                                            monkeypatch):
+        # the planner and the scoring read one seed lane per track and route
+        # selector, where each child and each score matched it again (40
+        # lane matches for these 25 children); outputs are those of matching
+        # every time
+        cfg, out = write_config(tmp_path, roster=ROUTE_ROSTER,
+                                synth="{template: merge}")
+        matched = []
+        match_seed_lane = map_model.match_seed_lane
+
+        def recording(graph, state, selector):
+            matched.append((state.track_id, selector))
+            return match_seed_lane(graph, state, selector)
+
+        def every_time(memo, graph, seed, tid, selector):
+            return match_seed_lane(graph, seed.current.get(tid), selector)
+
+        monkeypatch.setattr(map_model, "match_seed_lane", recording)
+        assert main(["enumerate", "--config", str(cfg), "--jobs", "1"]) == EXIT_OK
+        assert len(matched) == len(set(matched))
+        assert set(matched) == {(tid, selector) for tid in (1, 2)
+                                for selector in ("straightest", 0)}
+        for module in (simulator, metrics):
+            monkeypatch.setattr(module, "seed_lane", every_time)
+        each = tmp_path / "each"
+        assert main(["enumerate", "--config", str(cfg), "--jobs", "1",
+                     "--output-dir", str(each)]) == EXIT_OK
+        assert TestWorkers.outputs(out) == TestWorkers.outputs(each)
 
     def test_rerun_deletes_the_outputs_it_did_not_write(self, tmp_path):
         # the first run writes 4 logs and a ground-truth table, the second 1
