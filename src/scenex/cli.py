@@ -7,8 +7,9 @@ tables meant for external plotting. Exit codes: 0 success, 1 validation
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import fnmatch
+import glob
 import json
 import os
 import sys
@@ -114,18 +115,6 @@ def _log_name(index) -> str:
     return f"child_{index:05d}.csv"
 
 
-def _fresh(path):
-    """`path`, with the file at it, if any, unlinked first: every file
-    `simulate` and `enumerate` write is a new one, so a run never writes
-    through a hard link to an earlier file, such as a repeated log of an
-    earlier run or a `cp -al` snapshot of its directory."""
-    try:
-        os.unlink(path)
-    except FileNotFoundError:
-        pass
-    return path
-
-
 @dataclass
 class _ScoreAndWrite:
     """The `finish` of `simulate` and `enumerate`, run in the process that
@@ -136,10 +125,11 @@ class _ScoreAndWrite:
     Equal digests (timestamps and each state's exact `key`; the case id is
     the batch's) mean equal bytes, so each distinct log is rendered once
     per process, and every other path of it is a hard link to that first
-    file. Each path is unlinked before it is created (`_fresh`), so a link
-    never joins a file another run or directory still holds. Where the
-    filesystem refuses a link (`EMLINK`, or no hard links at all), the log
-    is rendered at that path, which becomes the digest's first file.
+    file. The command cleared its earlier outputs first (`_clear`), so each
+    path is a new file and a link never joins a file another run or
+    directory still holds. Where the filesystem refuses a link (`EMLINK`,
+    or no hard links at all), the log is rendered at that path, which
+    becomes the digest's first file.
     """
 
     engine: metrics.MetricEngine
@@ -148,11 +138,9 @@ class _ScoreAndWrite:
 
     def __call__(self, child, indices):
         fingerprint = self.engine.aggregate(child.log, child.assignment)
-        if not self.rendered:  # a run that fails before any child makes no directory
-            os.makedirs(self.logs_dir, exist_ok=True)
         first = self.rendered.get(child.log.digest)
         for index in indices:
-            path = _fresh(os.path.join(self.logs_dir, _log_name(index)))
+            path = os.path.join(self.logs_dir, _log_name(index))
             if first is not None:
                 try:
                     os.link(first, path)
@@ -171,28 +159,42 @@ def _metric_rows(batch):
             for child in batch.children if child.ok]
 
 
-def _remove_stale(path, header) -> None:
-    """Delete the file an earlier run left at `path` if its first line starts
-    with `header`, as the file this command writes there does: `simulate` and
-    `analyze` both write a `ground_truth.csv`, and neither deletes the other's."""
-    try:
-        with open(path, newline="") as fh:
-            if not fh.readline().startswith(header):
-                return
-        os.remove(path)
-    except FileNotFoundError:
-        pass
+# (glob, header) of every file a command writes in its output directory: a
+# file is the command's by its name, or, where a header is given, only if its
+# first line starts with it (`simulate` and `analyze` both write a
+# `ground_truth.csv`, and neither deletes the other's)
+RUN_OUTPUTS = (("metrics.csv", None), ("manifest.json", None),
+               ("logs/child_*.csv", None), ("ground_truth.csv", "run_index,run_seed,"))
+CONVERGENCE_HEADER = ["table", "metric", "size", "mean_l1", "std_l1", "resamples"]
+GROUND_TRUTH_HEADER = ["table", "metric", "aggregate", "value"]
+ANALYZE_OUTPUTS = (("density.csv", None), ("cumulative.csv", None),
+                   ("thresholds.csv", None),
+                   ("convergence.csv", ",".join(CONVERGENCE_HEADER)),
+                   ("ground_truth.csv", ",".join(GROUND_TRUTH_HEADER)))
+SYNTH_OUTPUTS = (("map.yaml", None), ("tracks.csv", None))
+
+
+def _clear(out, owned) -> None:
+    """Delete the files an earlier run of a command left in `out`, given as
+    the command's `owned` table. A command runs this once, after its inputs
+    are checked and before its first write, so every file it writes is a
+    new one: it never writes through a hard link, such as a `cp -al`
+    snapshot of `out`, and a run cut short leaves none of its earlier
+    outputs beside the new ones."""
+    for pattern, header in owned:
+        for path in glob.glob(os.path.join(glob.escape(out), pattern)):
+            if header is not None:
+                with open(path, "rb") as fh:
+                    if not fh.readline().startswith(header.encode()):
+                        continue
+            os.remove(path)
 
 
 def _write_outputs(cfg, batch, engine, seed, mode):
-    """Write a batch's tables and manifest, and delete the logs and
-    ground-truth table an earlier run left that this run did not write. The
-    children's logs were written where they ran; a log file of a child that
-    ended up failed, such as one whose worker died, is deleted too."""
+    """Write a batch's tables and manifest. The children's logs were written
+    where they ran; a log file of a child that ended up failed, such as one
+    whose worker died, is deleted."""
     out = cfg.output_dir
-    logs_dir = os.path.join(out, "logs")
-    os.makedirs(logs_dir, exist_ok=True)
-    written = set()
     children = []
     for child in batch.children:
         entry = {
@@ -201,30 +203,25 @@ def _write_outputs(cfg, batch, engine, seed, mode):
             "assignment": {str(t): k for t, k in child.assignment.kinds().items()},
             "status": "ok" if child.ok else "failed",
         }
+        log = os.path.join("logs", _log_name(child.index))
         if child.ok:
-            name = _log_name(child.index)
-            written.add(name)
-            entry["log"] = os.path.join("logs", name)
+            entry["log"] = log
         else:
             entry.update(error=child.error, track_id=child.track_id, step=child.step,
                          model_kind=child.model_kind, error_class=child.error_class)
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(os.path.join(out, log))
         children.append(entry)
-    metrics.write_metric_table(_fresh(os.path.join(out, "metrics.csv")),
-                               _metric_rows(batch))
+    metrics.write_metric_table(os.path.join(out, "metrics.csv"), _metric_rows(batch))
     gt_written = False
     if cfg.tracks is not None:
         try:
             vector = analysis.ground_truth_overlay(seed, cfg.sim_config(), engine)
-            metrics.write_metric_table(_fresh(os.path.join(out, "ground_truth.csv")),
+            metrics.write_metric_table(os.path.join(out, "ground_truth.csv"),
                                        [(-1, cfg.rng_seed, vector)])
             gt_written = True
         except ValueError as exc:
             print(f"warning: no ground-truth overlay: {exc}", file=sys.stderr)
-    if not gt_written:
-        _remove_stale(os.path.join(out, "ground_truth.csv"), "run_index,run_seed,")
-    for name in fnmatch.filter(os.listdir(logs_dir), "child_*.csv"):
-        if name not in written:
-            _remove_stale(os.path.join(logs_dir, name), ",".join(scene_io.TRACK_COLUMNS))
     manifest = {
         "schema": "scenex-manifest/1",
         "mode": mode,
@@ -234,7 +231,7 @@ def _write_outputs(cfg, batch, engine, seed, mode):
         "n_failed": batch.n_failed,
         "ground_truth": gt_written,
     }
-    with open(_fresh(os.path.join(out, "manifest.json")), "w") as fh:
+    with open(os.path.join(out, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -245,20 +242,29 @@ def _run_simulation(args, mode) -> int:
         cfg.rng_seed = args.rng_seed
     if args.output_dir is not None:
         cfg.output_dir = args.output_dir
+    # the usage errors the library would raise in the batch fail here, before
+    # the clear, so they never delete an earlier run's outputs
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if mode == "simulate":
         if args.n_runs is not None:
             cfg.n_runs = args.n_runs
-        if cfg.n_runs > cfg.enumeration_cap:
-            raise ConfigError(f"n_runs must be <= enumeration_cap "
+        if not 1 <= cfg.n_runs <= cfg.enumeration_cap:
+            raise ConfigError(f"n_runs must be in 1..enumeration_cap "
                               f"({cfg.enumeration_cap}), got {cfg.n_runs}")
     sim_cfg = cfg.sim_config()
     graph, seed, _ = _build_scene(cfg)
     roster = load_roster(cfg.roster)
+    if mode == "enumerate":
+        simulator.enumeration_count(seed, roster, cap=cfg.enumeration_cap)
     engine = metrics.MetricEngine(
         graph, pttc_decel=cfg.pttc_decel, wttc_accel=cfg.wttc_accel,
         route_horizon=cfg.route_horizon,
     )
-    finish = _ScoreAndWrite(engine, os.path.join(cfg.output_dir, "logs"))
+    _clear(cfg.output_dir, RUN_OUTPUTS)
+    logs_dir = os.path.join(cfg.output_dir, "logs")
+    os.makedirs(logs_dir, exist_ok=True)
+    finish = _ScoreAndWrite(engine, logs_dir)
     if mode == "enumerate":
         batch = simulator.run_enumerated(seed, roster, sim_cfg, jobs=args.jobs,
                                          cap=cfg.enumeration_cap, finish=finish,
@@ -284,23 +290,15 @@ def _write_rows_csv(path, header, rows) -> None:
 
 def _write_columns_csv(path, columns) -> None:
     """Write a mapping of column name -> equal-length value lists."""
-    names = list(columns)
-    n = max((len(v) for v in columns.values()), default=0)
-    _write_rows_csv(path, names, (
-        [repr(float(columns[c][i])) if i < len(columns[c]) else "" for c in names]
-        for i in range(n)))
-
-
-# every file `analyze` writes, or deletes as stale, in its --out directory
-ANALYZE_OUTPUTS = ("density.csv", "cumulative.csv", "thresholds.csv",
-                   "convergence.csv", "ground_truth.csv")
+    _write_rows_csv(path, list(columns), ([repr(float(v)) for v in row]
+                                          for row in zip(*columns.values())))
 
 
 def cmd_analyze(args) -> int:
     if len(args.ground_truth) > len(args.tables):
         raise ConfigError(f"--ground-truth got {len(args.ground_truth)} tables for "
                           f"{len(args.tables)} TABLES; give at most one per table")
-    for name in ANALYZE_OUTPUTS:
+    for name, _ in ANALYZE_OUTPUTS:
         target = os.path.join(args.out, name)
         for given in (*args.tables, *args.ground_truth):
             if os.path.exists(target) and os.path.exists(given) \
@@ -313,7 +311,6 @@ def cmd_analyze(args) -> int:
         raise ConfigError(f"--resamples must be >= 1, got {args.resamples}")
     if args.sizes and min(args.sizes) < 1:
         raise ConfigError(f"--sizes must all be >= 1, got {args.sizes}")
-    os.makedirs(args.out, exist_ok=True)
     density_cols = {}
     cumulative_cols = {}
     threshold_rows = []
@@ -364,22 +361,19 @@ def cmd_analyze(args) -> int:
                         gt_rows.append([k, metric, "worst", vector[metric].worst])
                         gt_rows.append([k, metric, "mean",
                                         vector[metric].mean_of_extrema])
+    _clear(args.out, ANALYZE_OUTPUTS)
+    os.makedirs(args.out, exist_ok=True)
     _write_columns_csv(os.path.join(args.out, "density.csv"), density_cols)
     _write_columns_csv(os.path.join(args.out, "cumulative.csv"), cumulative_cols)
     _write_rows_csv(os.path.join(args.out, "thresholds.csv"),
                     ["table", "metric", "threshold", "critical_side", "fraction"],
                     threshold_rows)
-    # the optional tables: written when asked for, else an earlier run's deleted
-    for name, header, rows in (
-            ("convergence.csv",
-             ["table", "metric", "size", "mean_l1", "std_l1", "resamples"],
-             convergence_rows if args.sizes else None),
-            ("ground_truth.csv", ["table", "metric", "aggregate", "value"],
-             gt_rows or None)):
-        if rows is None:
-            _remove_stale(os.path.join(args.out, name), ",".join(header))
-        else:
-            _write_rows_csv(os.path.join(args.out, name), header, rows)
+    if args.sizes:
+        _write_rows_csv(os.path.join(args.out, "convergence.csv"), CONVERGENCE_HEADER,
+                        convergence_rows)
+    if gt_rows:
+        _write_rows_csv(os.path.join(args.out, "ground_truth.csv"), GROUND_TRUTH_HEADER,
+                        gt_rows)
     return EXIT_OK
 
 
@@ -394,6 +388,7 @@ def cmd_synth_scene(args) -> int:
         except json.JSONDecodeError:
             params[key] = value
     graph, seed = scene_io.synth_scene(args.template, params)
+    _clear(args.out, SYNTH_OUTPUTS)
     os.makedirs(args.out, exist_ok=True)
     save_map(graph, os.path.join(args.out, "map.yaml"))
     scene_io.write_case(seed.case_id, seed.frames,

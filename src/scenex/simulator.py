@@ -108,20 +108,23 @@ def assign_models(seed: SeedScene, roster, run_seed) -> Assignment:
     return Assignment(mapping, ("sampled", run_seed))
 
 
-def enumeration_count(seed: SeedScene, roster) -> int:
-    return len(roster) ** len(seed.track_ids)
+def enumeration_count(seed: SeedScene, roster, cap=None) -> int:
+    """The number of assignments of `roster` to the seed's participants;
+    raises EnumerationCapError if it exceeds `cap`."""
+    total = len(roster) ** len(seed.track_ids)
+    if cap is not None and total > cap:
+        raise EnumerationCapError(
+            f"{total} assignments exceed the cap of {cap}; "
+            "use sampled runs (`scenex simulate`, or `run_batch`) instead"
+        )
+    return total
 
 
 def enumerate_assignments(seed: SeedScene, roster, cap=DEFAULT_ENUMERATION_CAP):
     """Mixed-radix enumeration over participants sorted by track id."""
     ids = seed.track_ids
     base = len(roster)
-    total = enumeration_count(seed, roster)
-    if total > cap:
-        raise EnumerationCapError(
-            f"{total} assignments exceed the cap of {cap}; "
-            "use sampled runs (cmd_simulate) instead"
-        )
+    total = enumeration_count(seed, roster, cap)
     for index in range(total):
         mapping = {}
         rem = index

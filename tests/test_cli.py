@@ -245,6 +245,28 @@ class TestEnumerate:
         assert TestWorkers.outputs(out) == TestWorkers.outputs(fresh)
         assert len(set(read_bytes_tree(out / "logs").values())) == 4
 
+    def test_interrupted_rerun_leaves_no_tables_of_the_earlier_run(
+            self, tmp_path, monkeypatch, capsys):
+        # a run cut short by a full disk leaves no metrics.csv or manifest.json,
+        # the earlier run's included: a finished run is one with a manifest
+        cfg, out = write_config(tmp_path)
+        assert main(["enumerate", "--config", str(cfg), "--jobs", "1"]) == EXIT_OK
+        calls = []
+        write_log = scene_io.write_log
+
+        def full_at_the_third(log, path):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            write_log(log, path)
+
+        monkeypatch.setattr(scene_io, "write_log", full_at_the_third)
+        (tmp_path / "roster.yaml").write_text(REPEATING_ROSTER)
+        assert main(["enumerate", "--config", str(cfg), "--jobs", "1"]) == EXIT_IO
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(os.listdir(out)) == ["logs"]
+        assert 2 <= len(os.listdir(out / "logs")) < 16
+
     def test_refused_link_renders_the_log_at_its_path(self, tmp_path, monkeypatch):
         # a filesystem may refuse a hard link (EMLINK past ext4's 65,000
         # links, or none at all): that path is rendered, once, and becomes
@@ -591,6 +613,23 @@ class TestValidation:
         assert "jobs must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+        (["enumerate", "--jobs", "-1"], "--jobs must be >= 1, got -1"),
+        (["simulate", "--jobs", "1", "--n-runs", "0"],
+         "n_runs must be in 1..enumeration_cap (10), got 0"),
+        (["enumerate", "--jobs", "1"], "16 assignments exceed the cap of 10; use sampled "
+                                       "runs (`scenex simulate`, or `run_batch`) instead"),
+    ], ids=["jobs-0", "jobs-negative", "n-runs-0", "enumeration-cap"])
+    def test_usage_error_keeps_the_earlier_outputs(self, tmp_path, capsys, argv, message):
+        cfg, out = write_config(tmp_path, enumeration_cap="10")
+        assert main(["simulate", "--config", str(cfg), "--jobs", "1"]) == EXIT_OK
+        before = read_bytes_tree(out)
+        capsys.readouterr()
+        assert main([*argv, "--config", str(cfg)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert read_bytes_tree(out) == before
+
     def test_jobs_default_is_the_usable_cpus(self):
         args = build_parser().parse_args(["enumerate", "--config", "run.yaml"])
         assert args.jobs == len(os.sched_getaffinity(0))
@@ -872,6 +911,44 @@ class TestAnalyze:
         assert main(["analyze", str(metrics_table), "--out", str(fresh)]) == EXIT_OK
         assert (fresh / "ground_truth.csv").read_bytes() == truth.read_bytes()
 
+    def test_rerun_never_writes_through_a_file_at_its_outputs(self, tmp_path,
+                                                               metrics_table):
+        # a hard-linked snapshot (`cp -al`) of an analysis keeps its bytes
+        # while an analysis that changes each of its five tables is written
+        # into that directory
+        _, rows = read_metric_table(metrics_table)
+        truth, half = tmp_path / "truth.csv", tmp_path / "half.csv"
+        write_metric_table(truth, [(-1, 0, rows[0][2])])
+        write_metric_table(half, rows[:5])
+        out, snapshot = tmp_path / "analysis", tmp_path / "snapshot"
+        assert main(["analyze", str(metrics_table), "--out", str(out), "--sizes", "2,5",
+                     "--resamples", "2", "--ground-truth", str(truth)]) == EXIT_OK
+        before = read_bytes_tree(out)
+        shutil.copytree(out, snapshot, copy_function=os.link)
+        assert main(["analyze", str(half), str(metrics_table), "--out", str(out),
+                     "--sizes", "2", "--resamples", "2",
+                     "--ground-truth", str(metrics_table)]) == EXIT_OK
+        after = read_bytes_tree(out)
+        assert len(after) == 5 and all(after[k] != before[k] for k in after)
+        assert read_bytes_tree(snapshot) == before
+
+    @pytest.mark.parametrize("table, code", [("nan", EXIT_VALIDATION),
+                                             ("missing", EXIT_IO)])
+    def test_table_that_cannot_be_read_makes_no_out(self, tmp_path, capsys,
+                                                    metrics_table, table, code):
+        if table == "nan":
+            lines = metrics_table.read_text().splitlines()
+            cells = lines[1].split(",")
+            cells[2] = "nan"
+            lines[1] = ",".join(cells)
+            metrics_table.write_text("\n".join(lines) + "\n")
+        else:
+            metrics_table = tmp_path / "missing.csv"
+        out = tmp_path / "analysis"
+        assert main(["analyze", str(metrics_table), "--out", str(out)]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name, role", [
         ("ground_truth.csv", "ground-truth"), ("density.csv", "table"),
         ("logs/../thresholds.csv", "table")])
@@ -969,6 +1046,15 @@ class TestSynthSceneCommand:
         assert set(graph.lane_ids) == {"east", "north"}
         dataset = load_tracks(out / "tracks.csv")
         assert len(dataset.cases) == 1
+
+    def test_rerun_never_writes_through_a_file_at_its_outputs(self, tmp_path):
+        out, snapshot = tmp_path / "scene", tmp_path / "snapshot"
+        assert main(["synth-scene", "--template", "crossing", "--out", str(out)]) == EXIT_OK
+        before = read_bytes_tree(out)
+        shutil.copytree(out, snapshot, copy_function=os.link)
+        assert main(["synth-scene", "--template", "merge", "--out", str(out)]) == EXIT_OK
+        assert read_bytes_tree(out) != before
+        assert read_bytes_tree(snapshot) == before
 
     def test_bad_param_rejected(self, tmp_path):
         out = tmp_path / "scene"
